@@ -292,115 +292,6 @@ def _beta2_candidates(delta: TriangleSpec, p: int, src: Point,
     return out
 
 
-def _complete_symmetric(delta: TriangleSpec, p: int, fixed: dict[Point, Point],
-                        dom_rest: list[Point], ran_rest: list[Point],
-                        required: dict[Point, int] | None,
-                        budget: int = 400_000) -> dict[Point, Point] | None:
-    """Symmetric special completion of a partial bijection by DFS.
-
-    Assigning P -> Q forces m(Q) -> m(P) (possibly already present among
-    the fixed arrows, which is then checked, or an m-arrow when
-    P = m(Q)).  `required` optionally constrains the difference-vector
-    multiset of the completion.
-    """
-    d = delta.d
-    dom_rest = delta.sort_points(dom_rest)
-    ran_set = set(ran_rest)
-    n = len(dom_rest)
-    assigned: dict[Point, Point] = {}
-    used: set[Point] = set()
-    counts = dict(required) if required is not None else None
-    steps = 0
-
-    def candidates(src: Point) -> list[Point]:
-        opts = []
-        for q in ran_set:
-            if q in used:
-                continue
-            v = _vec(src, q)
-            if not _in_unit_triangle(delta, v):
-                continue
-            if counts is not None and counts.get(v, 0) <= 0:
-                continue
-            diag = v[0] == v[1]
-            opts.append((0 if diag else 1, -v[0] if diag else 0,
-                         delta.canonical_key(q), q, v))
-        opts.sort(key=lambda t: t[:3])
-        return [(t[3], t[4]) for t in opts]
-
-    def rec(i: int):
-        nonlocal steps
-        steps += 1
-        if steps > budget:
-            raise BetaConstructionError("completion search budget exceeded")
-        while i < n and dom_rest[i] in assigned:
-            i += 1
-        if i == n:
-            yield dict(assigned)
-            return
-        src = dom_rest[i]
-        for q, v in candidates(src):
-            partner = mirror(delta, q)
-            partner_img = mirror(delta, src)
-            forced = None
-            if partner == src:
-                pass  # self-symmetric m-arrow
-            elif partner in assigned:
-                if assigned[partner] != partner_img:
-                    continue
-                forced = ()
-            elif partner in fixed:
-                if fixed[partner] != partner_img:
-                    continue
-                forced = ()
-            else:
-                if partner not in set(dom_rest):
-                    continue
-                if partner_img in used or partner_img not in ran_set:
-                    continue
-                v2 = _vec(partner, partner_img)
-                if counts is not None and v2 != v and counts.get(v2, 0) <= 0:
-                    continue
-                if not _in_unit_triangle(delta, v2):
-                    continue
-                forced = (partner, partner_img, v2)
-            assigned[src] = q
-            used.add(q)
-            if counts is not None:
-                counts[v] -= 1
-            extra = None
-            if forced and len(forced) == 3:
-                pp, qq, vv = forced
-                if counts is not None:
-                    if counts.get(vv, 0) <= 0:
-                        counts[v] += 1
-                        used.discard(q)
-                        del assigned[src]
-                        continue
-                    counts[vv] -= 1
-                assigned[pp] = qq
-                used.add(qq)
-                extra = (pp, qq, vv)
-            yield from rec(i + 1)
-            if extra:
-                pp, qq, vv = extra
-                del assigned[pp]
-                used.discard(qq)
-                if counts is not None:
-                    counts[vv] += 1
-            del assigned[src]
-            used.discard(q)
-            if counts is not None:
-                counts[v] += 1
-
-    try:
-        for sol in rec(0):
-            return sol
-    except BetaConstructionError:
-        return None
-    return None
-
-
 def _completions(delta: TriangleSpec, p: int, fixed: dict[Point, Point],
                  dom_rest: list[Point], ran_rest: list[Point],
                  required: dict[Point, int] | None, budget: int):

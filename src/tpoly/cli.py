@@ -170,16 +170,14 @@ def cmd_special(args) -> int:
     classes = combos.relatedness_classes(bs)
     recs = []
     for cl in classes:
-        signs = [b.sign for b in cl]
-        data = combos.combo_from_bijection(delta, args.p, cl[0])
-        coeff = sum(b.sign * combos.combo_from_bijection(delta, args.p, b).coefficient
-                    for b in cl)
+        datas = [combos.combo_from_bijection(delta, args.p, b) for b in cl]
+        coeff = sum(b.sign * data.coefficient for b, data in zip(cl, datas))
         recs.append({
             "vector_multiset": [list(v) for v in cl[0].vectors],
             "size": len(cl),
-            "sign_balance": sum(signs),
+            "sign_balance": sum(b.sign for b in cl),
             "coefficient": frac_str(coeff),
-            "exponents": list(data.exponents),
+            "exponents": list(datas[0].exponents),
         })
     dump_json({"schema": SCHEMA, "command": "special", "p": args.p,
                "count": len(bs), "classes": recs}, args.emit_classes)
@@ -343,7 +341,7 @@ def build_checks(delta: TriangleSpec, p: int, seed: int):
 
     def c_ihp():
         x1, xp1, h1, hp1 = hodge.closed_form_vertices(delta, p, 1)
-        res = hodge.ihp(delta, p, min(xp1 + 2, xp1))
+        res = hodge.ihp(delta, p, xp1)
         v1 = res.hull.value_at(x1)
         v2 = res.hull.value_at(xp1)
         slope_ok = (v2 - v1) == (xp1 - x1) * (p - 1)
@@ -354,9 +352,12 @@ def build_checks(delta: TriangleSpec, p: int, seed: int):
     def c_c0_rows():
         rep = combos.c0_distribution_counts(delta, p)
         ok = all(r["match"] for r in rep["rows"])
-        if rep["gamma_in_hypothesis"]:
-            ok = ok and rep["gamma_bijection"]
-        return ok, "all rows match formula", rep["rows"]
+        if not rep["gamma_in_hypothesis"]:
+            if ok:
+                return True, "rows match (outside hypothesis)", rep["rows"]
+            raise beta_mod.BetaHypothesisError(
+                "c0 distribution outside hypothesis", {"rows": rep["rows"]})
+        return ok and rep["gamma_bijection"], "all rows match formula", rep["rows"]
     add("c0_distribution_rows", "reference", c_c0_rows)
 
     def c_k2_rows():

@@ -1,14 +1,14 @@
-"""Dwork matrix, Fredholm coefficients, and the exponential-sum oracle.
+"""Dwork operator, Fredholm coefficients, and the exponential-sum oracle.
 
-The product expansion of E_f gives coefficient series e_P with
-v_T(e_P) >= ceil(w(P)); entries e_{pQ-P} of the truncated operator
-matrix then produce the characteristic-series coefficients u_l through
-trace power sums and Newton's identities (computed at an elevated
-p-power precision so the divisions by l are exact), and the T-adic
-Newton polygon as the lower hull of (l, v_T(u_l)/n).
-
-Everything runs on windowed matrices: points of weight > W contribute
-only beyond T^N, which the W+1 stability test exercises.
+dwork_operator builds the operator from F_p residues: Teichmueller
+lifts, the product expansion of E_f into series e_P with
+v_T(e_P) >= ceil(w(P)), and the windowed matrix of entries e_{pQ-P}.
+Over F_{p^n}, n > 1, the same steps run on Z_q coordinates, and products
+go through poly_matmul by the regular representation.  _twisted_traces
+gives the trace power sums for every n; Newton's identities (at an
+elevated p-power precision, so the divisions by l are exact) give u_l,
+and the T-adic Newton polygon is the lower hull of (l, v_T(u_l)/n).
+Points outside the window contribute only beyond T^N.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import numpy as np
 
 from .lattice import Point, TriangleSpec, enumerate_T
 from .hodge import PolygonHull, lower_convex_hull
-from .series import SeriesRing, UnramifiedRing, artin_hasse, pi_of_T
+from .series import (SeriesRing, UnramifiedRing, artin_hasse, find_irreducible,
+                     pi_of_T)
 
 
 class HullMismatchError(ValueError):
@@ -62,7 +63,7 @@ def validate_support(delta: TriangleSpec, f_hat: dict[Point, int], p: int):
         if not delta.in_cone(q) or delta.weight_num(q) > delta.det:
             raise HullMismatchError(f"support point {q} outside the closed triangle")
     for vertex in ((delta.a1, delta.b1), (delta.a2, delta.b2)):
-        if f_hat.get(vertex, 0) % p == 0:
+        if not np.any(np.asarray(f_hat.get(vertex, 0)) % p):
             raise HullMismatchError(f"vertex coefficient at {vertex} vanishes mod p")
 
 
@@ -120,9 +121,9 @@ def assert_valuation_bounds(delta: TriangleSpec, ring: SeriesRing,
 def dwork_matrix(delta: TriangleSpec, ring: SeriesRing,
                  e_map: dict[Point, np.ndarray],
                  window: list[Point], p: int) -> np.ndarray:
-    """int64 array (n, n, N): entry[i, j] = e_{p*W[i] - W[j]}."""
+    """int64 array (n, n, *e.shape): entry[i, j] = e_{p*W[i] - W[j]}."""
     n = len(window)
-    mat = np.zeros((n, n, ring.N), dtype=np.int64)
+    mat = np.zeros((n, n) + e_map[(0, 0)].shape, dtype=np.int64)
     for i, q in enumerate(window):
         for j, pt in enumerate(window):
             r = (p * q[0] - pt[0], p * q[1] - pt[1])
@@ -159,6 +160,15 @@ def poly_trace(a: np.ndarray, modulus: int) -> np.ndarray:
     return np.einsum('iit->t', a) % modulus
 
 
+def dwork_operator(delta: TriangleSpec, f_hat_residues: dict[Point, int],
+                   p: int, m: int, N: int, window: list[Point]) -> np.ndarray:
+    """The operator on `window` mod (p^m, T^N) from F_p residues of f."""
+    ring = SeriesRing(p, m, N)
+    f_hat = {q: teichmueller_int(c, p, m) for q, c in f_hat_residues.items()}
+    e_map = expand_Ef(delta, f_hat, ring, w_cap=N)
+    return dwork_matrix(delta, ring, e_map, window, p)
+
+
 def _vp(n: int, p: int) -> int:
     v = 0
     while n % p == 0:
@@ -193,22 +203,8 @@ def char_series(delta: TriangleSpec, f_hat_residues: dict[Point, int], p: int,
     Frobenius conjugates.
     """
     m_work = M + _vp(math.factorial(L), p) if L else M
-    if n == 1:
-        ring = SeriesRing(p, m_work, N)
-        f_hat = {q: teichmueller_int(c, p, m_work)
-                 for q, c in f_hat_residues.items()}
-        e_map = expand_Ef(delta, f_hat, ring, w_cap=N)
-        window = window_points(delta, p, N, slack)
-        mat = dwork_matrix(delta, ring, e_map, window, p)
-        traces = []
-        power = mat
-        for _ in range(L):
-            traces.append(poly_trace(power, ring.modulus))
-            if len(traces) < L:
-                power = poly_matmul(power, mat, ring.modulus)
-    else:
-        traces = _twisted_traces(delta, f_hat_residues, p, m_work, N, L, n, slack)
-        ring = SeriesRing(p, m_work, N)
+    traces = _twisted_traces(delta, f_hat_residues, p, m_work, N, L, n, slack)
+    ring = SeriesRing(p, m_work, N)
     # Newton's identities: l*e_l = sum_{i=1}^{l} (-1)^(i-1) e_{l-i} tr_i
     e = [ring.one()]
     prec = [m_work]
@@ -242,126 +238,105 @@ def char_series(delta: TriangleSpec, f_hat_residues: dict[Point, int], p: int,
     return CharSeries(p, M, N, n, u)
 
 
-def _zq_series_mul(a, b, Rq, N):
-    out = [Rq.zero()] * N
-    for t1, at in enumerate(a):
-        if not any(c for c in at):
-            continue
-        for t2 in range(N - t1):
-            bt = b[t2]
-            if any(c for c in bt):
-                out[t1 + t2] = Rq.add(out[t1 + t2], Rq.mul(at, bt))
-    return out
+# -- Z_q coefficients in the regular representation --------------------
 
 
-def _zq_mat_mul(A, B, Rq, N):
-    npts = len(A)
-    out = [[None] * npts for _ in range(npts)]
-    for i in range(npts):
-        for j in range(npts):
-            acc = [Rq.zero()] * N
-            for k in range(npts):
-                term = _zq_series_mul(A[i][k], B[k][j], Rq, N)
-                acc = [Rq.add(x, y) for x, y in zip(acc, term)]
-            out[i][j] = acc
-    return out
+def _expand_Ef_zq(delta: TriangleSpec, f_hat: dict[Point, np.ndarray],
+                  mult: np.ndarray, ring: SeriesRing,
+                  w_cap: int) -> dict[Point, np.ndarray]:
+    """expand_Ef for Z_q coefficients given as coordinate vectors.
 
-
-def _expand_Ef_zq(delta, f_hat, Rq, iring, w_cap):
-    """Zq-coefficient variant of expand_Ef; series are lists of ring elts."""
-    E = artin_hasse(iring)
-    pi = pi_of_T(iring)
+    Each e_P is an (n, N) array of coordinates.  A product with E_j a_Q^j
+    applies its multiplication matrix, then convolves with pi^j.
+    """
+    validate_support(delta, f_hat, ring.p)
+    E = artin_hasse(ring)
+    pi = pi_of_T(ring)
     cap_num = w_cap * delta.det
-    pi_pows = [iring.one()]
-    for _ in range(iring.N - 1):
-        pi_pows.append(iring.mul(pi_pows[-1], pi))
-    N = iring.N
-
-    def scal_series(zq_c, int_series):
-        return [Rq.mul(zq_c, Rq.from_int(int(v))) for v in int_series]
-
-    acc = {(0, 0): [Rq.one()] + [Rq.zero()] * (N - 1)}
+    m = ring.modulus
+    pi_pows = [ring.one()]
+    for _ in range(ring.N - 1):
+        pi_pows.append(ring.mul(pi_pows[-1], pi))
+    # the coordinates of 1 (first column of mult[0] = I) times the series 1
+    acc: dict[Point, np.ndarray] = {(0, 0): np.outer(mult[0][:, 0], ring.one())}
     for q in sorted(f_hat, key=delta.canonical_key):
-        a = f_hat[q]
+        a_mat = np.tensordot(f_hat[q], mult, 1) % m
         wq = delta.weight_num(q)
-        terms = []
-        apow = Rq.one()
-        for j in range(N):
+        coeffs = []
+        apow = mult[0]
+        for j in range(ring.N):
             if j * wq > cap_num:
                 break
-            cj = Rq.mul(apow, Rq.from_int(int(E[j])))
-            terms.append([Rq.mul(cj, Rq.from_int(int(v))) for v in pi_pows[j]])
-            apow = Rq.mul(apow, a)
-        new = {}
+            coeffs.append(int(E[j]) * apow % m)
+            apow = a_mat @ apow % m
+        new: dict[Point, np.ndarray] = {}
         for pt, s in acc.items():
             wpt = delta.weight_num(pt)
-            for j, tj in enumerate(terms):
+            for j, cj in enumerate(coeffs):
                 if wpt + j * wq > cap_num:
                     break
                 tgt = (pt[0] + j * q[0], pt[1] + j * q[1])
-                contrib = _zq_series_mul(s, tj, Rq, N) if j else s
-                if tgt in new:
-                    new[tgt] = [Rq.add(x, y) for x, y in zip(new[tgt], contrib)]
-                else:
-                    new[tgt] = list(contrib)
+                contrib = np.array([ring.mul(row, pi_pows[j])
+                                    for row in cj @ s % m]) if j else s
+                new[tgt] = (new[tgt] + contrib) % m if tgt in new else contrib
         acc = new
     return acc
 
 
+def _zq_mat_mul(X: np.ndarray, Y: np.ndarray, mult: np.ndarray,
+                modulus: int) -> np.ndarray:
+    """XY for Z_q series matrices held as (w, n, w, N) coordinates, X by its
+    regular representation: the (w*n, w*n, N) int series matrix with blocks
+    sum_a X[i, a, k] mult[a]."""
+    w, n, _, N = X.shape
+    reg = np.einsum('iakt,acd->ickdt', X, mult) % modulus
+    prod = poly_matmul(reg.reshape(w * n, w * n, N),
+                       Y.reshape(w * n, w, N), modulus)
+    return prod.reshape(w, n, w, N)
+
+
 def _twisted_traces(delta, f_hat_residues, p, m_work, N, L, n, slack):
-    """Traces of (sigma^(n-1)N ... sigma(N) N)^k for k = 1..L, n > 1.
+    """tr(A^k) mod (p^m_work, T^N), k = 1..L, for the operator A over F_{p^n}.
 
-    Coefficient residues may be ints (prime-subfield) or length-n tuples.
-    The traces land in Z_p; that containment is asserted and the
-    projected integer series are returned.
+    For n > 1, residues are ints or length-n tuples in UnramifiedRing's
+    basis, and A = sigma^(n-1)(A1) ... sigma(A1) A1 is held as (w, n, w, N)
+    Z_q coordinates.  A trace is coordinate 0 of the summed diagonal; the
+    others must vanish.
     """
-    Rq = UnramifiedRing(p, m_work, n)
-    iring = SeriesRing(p, m_work, N)
-    f_hat = {}
-    for q, c in f_hat_residues.items():
-        elt = tuple(c) if isinstance(c, (tuple, list)) else Rq.from_int(c)
-        f_hat[q] = Rq.teichmueller(elt)
-    for vertex in ((delta.a1, delta.b1), (delta.a2, delta.b2)):
-        if not Rq.is_unit(f_hat.get(vertex, Rq.zero())):
-            raise HullMismatchError(f"vertex coefficient at {vertex} vanishes mod p")
-    e_map = _expand_Ef_zq(delta, f_hat, Rq, iring, w_cap=N)
     window = window_points(delta, p, N, slack)
-    npts = len(window)
-    zero_series = [Rq.zero()] * N
-
-    def base_matrix(emap):
-        mat = [[None] * npts for _ in range(npts)]
-        for i, qq in enumerate(window):
-            for j, pt in enumerate(window):
-                r = (p * qq[0] - pt[0], p * qq[1] - pt[1])
-                mat[i][j] = emap.get(r, zero_series)
-        return mat
-
-    mat0 = base_matrix(e_map)
-
-    def frob_series(s):
-        return [Rq.frobenius(c) for c in s]
-
-    twisted = mat0
-    conj = mat0
-    for _ in range(1, n):
-        conj = [[frob_series(entry) for entry in row] for row in conj]
-        twisted = _zq_mat_mul(conj, twisted, Rq, N)
+    m = p ** m_work
+    if n == 1:
+        mat = dwork_operator(delta, f_hat_residues, p, m_work, N, window)
+    else:
+        Rq = UnramifiedRing(p, m_work, n)
+        ring = SeriesRing(p, m_work, N)
+        # mult[a] multiplies by t^a: its column j holds the coordinates of
+        # t^(a+j) reduced by the modulus; column j of frob is sigma(t^j)
+        basis = np.eye(n, dtype=np.int64).tolist()
+        mult = np.array([[Rq.mul(a, b) for b in basis]
+                         for a in basis]).transpose(0, 2, 1)
+        frob = np.array([Rq.frobenius(tuple(b)) for b in basis]).T
+        f_hat = {}
+        for q, c in f_hat_residues.items():
+            elt = tuple(c) if isinstance(c, (tuple, list)) else Rq.from_int(c)
+            f_hat[q] = np.array(Rq.teichmueller(elt), dtype=np.int64)
+        e_map = _expand_Ef_zq(delta, f_hat, mult, ring, w_cap=N)
+        mat = dwork_matrix(delta, ring, e_map, window, p).transpose(0, 2, 1, 3)
+        conj = mat
+        for _ in range(1, n):
+            conj = np.einsum('ca,iajt->icjt', frob, conj) % m
+            mat = _zq_mat_mul(conj, mat, mult, m)
     traces = []
-    power = twisted
-    modulus = p ** m_work
-    for k in range(L):
-        tr = [Rq.zero()] * N
-        for i in range(npts):
-            tr = [Rq.add(x, y) for x, y in zip(tr, power[i][i])]
-        arr = np.zeros(N, dtype=np.int64)
-        for t, c in enumerate(tr):
-            if any(v % modulus for v in c[1:]):
-                raise AssertionError("twisted trace left the base ring")
-            arr[t] = c[0] % modulus
-        traces.append(arr)
-        if k + 1 < L:
-            power = _zq_mat_mul(power, twisted, Rq, N)
+    power = mat
+    for _ in range(L):
+        coords = power.reshape(len(window), n, len(window), N)
+        tr = [poly_trace(coords[:, c], m) for c in range(n)]
+        if any(t.any() for t in tr[1:]):
+            raise AssertionError("twisted trace left the base ring")
+        traces.append(tr[0])
+        if len(traces) < L:
+            power = (poly_matmul(power, mat, m) if n == 1
+                     else _zq_mat_mul(power, mat, mult, m))
     return traces
 
 
@@ -439,9 +414,7 @@ def det_T1(delta: TriangleSpec, f_hat_residues: dict[Point, int], p: int,
     if N <= h1:
         raise PrecisionExhausted(f"need N > h(T1) = {h1}")
     ring = SeriesRing(p, M, N)
-    f_hat = {q: teichmueller_int(c, p, M) for q, c in f_hat_residues.items()}
-    e_map = expand_Ef(delta, f_hat, ring, w_cap=N)
-    mat = dwork_matrix(delta, ring, e_map, t1, p)
+    mat = dwork_operator(delta, f_hat_residues, p, M, N, t1)
     q = berkowitz_char_coeffs(mat, ring)
     n = len(t1)
     # det(A) = (-1)^n * coeff of s^n in det(I - sA)
@@ -488,18 +461,17 @@ def exp_sum_oracle(delta: TriangleSpec, f_hat_residues: dict[Point, int],
     # Teichmueller lifts of the units, with power tables up to max exponent
     units = [e for e in Rk.residue_elements() if any(e)]
     lifts = [Rk.teichmueller(e) for e in units]
-    max_deg = max(max(q[0] for q in f_hat_residues),
-                  max(q[1] for q in f_hat_residues))
-    pow_tables = []
-    for w in lifts:
-        tbl = [Rk.one()]
-        for _ in range(max_deg):
-            tbl.append(Rk.mul(tbl[-1], w))
-        pow_tables.append(tbl)
+    max_deg = max(max(q) for q in f_hat_residues)
+    pow_tables = [[Rk.pow(w, e) for e in range(max_deg + 1)] for w in lifts]
+    # F_q embeds in F_{q^k}, the residue field of Rk, by sending t to a
+    # root of the modulus that defines F_q's coordinates
+    g = find_irreducible(p, n)
+    root = next(x for x in Rk.residue_elements()
+                if not any(v % p for v in Rk.eval_poly(g, x)))
     f_lift = {}
     for qpt, c in f_hat_residues.items():
-        elt = tuple(c) if isinstance(c, (tuple, list)) else Rk.from_int(c)
-        f_lift[qpt] = Rk.teichmueller(elt)
+        coeffs = tuple(c) if isinstance(c, (tuple, list)) else (c,)
+        f_lift[qpt] = Rk.teichmueller(Rk.eval_poly(coeffs, root))
 
     counts: dict[int, int] = {}
     for i1 in range(len(units)):
@@ -514,22 +486,8 @@ def exp_sum_oracle(delta: TriangleSpec, f_hat_residues: dict[Point, int],
     for c, cnt in counts.items():
         s_star = (s_star + cnt * binomial_row(c, N, p, M)) % pm
 
-    # trace side
-    if n == 1:
-        ring = SeriesRing(p, M, N)
-        f_hat = {qpt: teichmueller_int(c, p, M)
-                 for qpt, c in f_hat_residues.items()}
-        e_map = expand_Ef(delta, f_hat, ring, w_cap=N)
-        window = window_points(delta, p, N)
-        mat = dwork_matrix(delta, ring, e_map, window, p)
-        power = mat
-        for _ in range(k - 1):
-            power = poly_matmul(power, mat, ring.modulus)
-        tr = poly_trace(power, ring.modulus)
-    else:
-        traces = _twisted_traces(delta, f_hat_residues, p, M, N, k, n,
-                                 DEFAULT_SLACK)
-        tr = traces[k - 1] % pm
+    tr = _twisted_traces(delta, f_hat_residues, p, M, N, k, n,
+                         DEFAULT_SLACK)[k - 1]
     rhs = (q_k - 1) ** 2 % pm * tr % pm
     return s_star, rhs
 

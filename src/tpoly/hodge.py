@@ -198,9 +198,6 @@ class PolygonHull:
         return [Fraction(y1 - y0, x1 - x0)
                 for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:])]
 
-    def as_json(self) -> list[list[str | int]]:
-        return [[x, f"{y.numerator}/{y.denominator}"] for x, y in self.vertices]
-
 
 def lower_convex_hull(points) -> PolygonHull:
     """Monotone-chain lower hull over exact rational points."""

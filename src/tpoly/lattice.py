@@ -89,12 +89,6 @@ class TriangleSpec:
     def l2(self) -> int:
         return math.gcd(self.a2, self.b2) - 1
 
-    @property
-    def weight_denominator(self) -> int:
-        """Least D with all cone weights in (1/D)*Z."""
-        g = math.gcd(self.wx, self.wy)
-        return self.det // math.gcd(self.det, g)
-
     # -- weights ------------------------------------------------------
 
     def weight_num(self, p: Point) -> int:
@@ -106,9 +100,6 @@ class TriangleSpec:
 
     def ceil_weight(self, p: Point) -> int:
         return -((-self.weight_num(p)) // self.det)
-
-    def floor_weight(self, p: Point) -> int:
-        return self.weight_num(p) // self.det
 
     # -- cone and parallelogram ---------------------------------------
 
@@ -215,14 +206,6 @@ def mirror(delta: TriangleSpec, p: Point) -> Point:
     return (d - p[0], d - p[1])
 
 
-def upper_triangle_points(delta: TriangleSpec) -> list[Point]:
-    """Lattice points strictly inside the upper-right triangle of the square."""
-    d = delta.d
-    return delta.sort_points(
-        (x, y) for x in range(d) for y in range(d) if x + y > d
-    )
-
-
 @lru_cache(maxsize=1024)
 def split_T1(delta: TriangleSpec, p: int):
     """Partition T1 by whether (pP)% stays in T1; also return Y0 and m(Y0).
@@ -302,7 +285,3 @@ def diag_index(p: Point) -> int:
 
 def antidiag_index(p: Point) -> int:
     return p[0] + p[1]
-
-
-def points_as_json(pts: Iterable[Point]) -> list[list[int]]:
-    return [[x, y] for x, y in pts]

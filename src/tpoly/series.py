@@ -109,9 +109,6 @@ class SeriesRing:
         nz = np.nonzero(a % self.modulus)[0]
         return int(nz[0]) if len(nz) else None
 
-    def reduce_M(self, a: np.ndarray, M_out: int) -> np.ndarray:
-        return a % self.p ** M_out
-
 
 @lru_cache(maxsize=None)
 def artin_hasse_fractions(p: int, n_terms: int) -> tuple[Fraction, ...]:
@@ -379,25 +376,19 @@ class UnramifiedRing:
         """sigma(t): the root of the modulus congruent to t^p, by Hensel."""
         t = (0, 1) + (0,) * (self.r - 2)
         x = self.pow(t, self.p)
+        deriv = [i * c for i, c in enumerate(self.modulus)][1:]
         for _ in range(self.M + 1):
-            fx = self._eval_modulus(x)
-            dfx = self._eval_modulus_deriv(x)
-            inv = self._inverse(dfx)
+            fx = self.eval_poly(self.modulus, x)
+            inv = self._inverse(self.eval_poly(deriv, x))
             x = self.sub(x, self.mul(fx, inv))
-        assert not any(self._eval_modulus(x))
+        assert not any(self.eval_poly(self.modulus, x))
         return x
 
-    def _eval_modulus(self, x):
+    def eval_poly(self, coeffs, x):
+        """sum_i coeffs[i] x^i for integer coefficients, by Horner."""
         acc = self.zero()
-        for c in reversed(self.modulus):
+        for c in reversed(coeffs):
             acc = self.add(self.mul(acc, x), self.from_int(c))
-        return acc
-
-    def _eval_modulus_deriv(self, x):
-        acc = self.zero()
-        deg = len(self.modulus) - 1
-        for i in range(deg, 0, -1):
-            acc = self.add(self.mul(acc, x), self.from_int(i * self.modulus[i]))
         return acc
 
     def _inverse(self, a):
@@ -424,7 +415,4 @@ class UnramifiedRing:
             return a
         if not hasattr(self, "_sig"):
             self._sig = self.frobenius_root()
-        acc = self.zero()
-        for c in reversed(a):
-            acc = self.add(self.mul(acc, self._sig), self.from_int(c))
-        return acc
+        return self.eval_poly(a, self._sig)

@@ -121,6 +121,16 @@ def test_verify_command_and_exit_code(tmp_path):
     assert rep["seed"] == 1
 
 
+def test_verify_outside_c0_hypothesis(tmp_path):
+    # p0 = 41 mod 11 = 8, so d > 2*p0 fails: the C0 closed form does not apply
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--d", "11", "--p", "41", "--json", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    status = {c["name"]: c["status"] for c in rep["checks"]}
+    assert rep["failures"] == 0
+    assert status["c0_distribution_rows"] == "out-of-hypothesis"
+
+
 def test_verify_rejects_bad_config():
     with pytest.raises(SystemExit):
         run(["verify", "--d", "7", "--p", "15"])

@@ -141,22 +141,28 @@ def test_torus_limit():
         dwork.exp_sum_oracle(D2, F2, p=7, M=1, N=4, k=6)
 
 
-def test_twisted_n2_trace_formula():
-    f = {(2, 0): (1, 0), (0, 2): (1, 1), (1, 1): (0, 1)}
-    s_star, rhs = dwork.exp_sum_oracle(D2, f, p=3, M=2, N=6, k=1, n=2)
+TWISTED_F = {2: {(2, 0): (1, 0), (0, 2): (1, 1), (1, 1): (0, 1)},
+             3: {(2, 0): (1, 0, 1), (0, 2): (1, 1, 0), (1, 1): (0, 1, 2)}}
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (3, 1)])
+def test_twisted_trace_formula(n, k):
+    s_star, rhs = dwork.exp_sum_oracle(D2, TWISTED_F[n], p=3, M=2, N=6, k=k, n=n)
     assert (s_star == rhs).all()
 
 
 def test_twisted_n2_char_series():
-    f = {(2, 0): (1, 0), (0, 2): (1, 1)}
-    cs = dwork.char_series(D2, f, p=3, M=2, N=8, L=3, n=2)
+    # (2, 7) lies inside the improved polygon's hypothesis; F_49
+    # coefficients at every point of the closed unit triangle but 0
+    f = {(1, 0): (3, 5), (0, 1): (2, 1), (2, 0): (1, 4), (1, 1): (6, 2),
+         (0, 2): (5, 3)}
+    cs = dwork.char_series(D2, f, p=7, M=2, N=14, L=3, n=2)
     assert int(cs.u[0][0]) == 1
-    ih = hodge.ihp(D2, 3, 3)
+    ih = hodge.ihp(D2, 7, 3)
+    assert ih.hypothesis_ok
     for ell in range(4):
-        val = cs.valuation(ell)
-        if val is not None:
-            # normalized ordinate v_T/n against the improved polygon
-            assert val >= 2 * ih.hull.value_at(ell) or not ih.hypothesis_ok
+        # normalized ordinate v_T/n against the improved polygon
+        assert cs.valuation(ell) >= 2 * ih.hull.value_at(ell)
 
 
 def test_window_stability_of_valuations():
