@@ -21,7 +21,8 @@ from fractions import Fraction
 
 from .lattice import (Point, TriangleSpec, antidiag_index, diag_index,
                       mirror, split_T1)
-from .combos import SpecialBijection, _make_special, k2_region
+from .combos import (EnumerationBudgetExceeded, SpecialBijection,
+                     _make_special, k2_region)
 
 
 class BetaHypothesisError(RuntimeError):
@@ -789,7 +790,7 @@ def enumerate_related(delta: TriangleSpec, p: int,
         nonlocal steps
         steps += 1
         if steps > budget:
-            raise BetaConstructionError("related enumeration budget exceeded")
+            raise EnumerationBudgetExceeded("related enumeration budget exceeded")
         if i == len(order):
             out.append(_make_special(delta, list(y0), assignment))
             return

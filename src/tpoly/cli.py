@@ -128,8 +128,15 @@ def cmd_hodge_h(args) -> int:
 def cmd_dwork_np(args) -> int:
     delta = triangle_from_args(args)
     check_config(delta, args.p)
+    if args.M < 1 or args.tprec < 1 or args.lmax < 0:
+        raise SystemExit("dwork-np needs --M >= 1, --tprec >= 1 and --lmax >= 0")
     f = load_f(args.f)
-    cs = dwork.char_series(delta, f, args.p, args.M, args.tprec, args.lmax)
+    try:
+        cs = dwork.char_series(delta, f, args.p, args.M, args.tprec, args.lmax)
+    except ValueError as exc:
+        # the documented refusals: support off the triangle, vanishing
+        # vertex coefficients, exhausted precision, p^M past exact arithmetic
+        raise SystemExit(f"dwork-np refused: {exc}") from None
     hull, certified, flagged = dwork.newton_polygon_C(cs)
     payload = {
         "schema": SCHEMA,
@@ -280,6 +287,8 @@ def _check(name, provenance, fn):
             status = "pass" if ok else "fail"
         except beta_mod.BetaHypothesisError as exc:
             status, expected, computed = "out-of-hypothesis", None, str(exc)
+        except combos.EnumerationBudgetExceeded as exc:
+            status, expected, computed = "out-of-budget", None, str(exc)
         except Exception as exc:  # noqa: BLE001 - reported, never skipped
             status, expected, computed = "fail", None, f"{type(exc).__name__}: {exc}"
         return {"name": name, "status": status, "provenance": provenance,
@@ -480,7 +489,9 @@ def cmd_verify(args) -> int:
     workers = int(os.environ.get("TPOLY_WORKERS", "1"))
     report = run_verify(delta, args.p, args.seed, workers)
     dump_json(report, args.json)
-    return 0 if report["failures"] == 0 else 1
+    if report["failures"]:
+        return 1
+    return 2 if any(c["status"] == "out-of-budget" for c in report["checks"]) else 0
 
 
 def main(argv=None) -> int:

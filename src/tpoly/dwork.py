@@ -3,12 +3,23 @@
 dwork_operator builds the operator from F_p residues: Teichmueller
 lifts, the product expansion of E_f into series e_P with
 v_T(e_P) >= ceil(w(P)), and the windowed matrix of entries e_{pQ-P}.
-Over F_{p^n}, n > 1, the same steps run on Z_q coordinates, and products
-go through poly_matmul by the regular representation.  _twisted_traces
-gives the trace power sums for every n; Newton's identities (at an
-elevated p-power precision, so the divisions by l are exact) give u_l,
-and the T-adic Newton polygon is the lower hull of (l, v_T(u_l)/n).
-Points outside the window contribute only beyond T^N.
+The expansion holds the e_P as one stacked array and takes one batched
+step per support monomial Q and power j.  Over F_{p^n}, n > 1, the same
+steps run on Z_q coordinates, and products go through poly_matmul by
+the regular representation.  _twisted_traces gives the trace power sums
+for every n: it forms only the powers A^i, i <= ceil(L/2), each as
+A A^(i-1) so that the row-sparse operator is the left factor, and pairs
+them, tr(A^(2i-1)) = tr(A^i A^(i-1)) and tr(A^(2i)) = tr(A^i A^i), each
+an entrywise product summed over the matrix with a T-convolution.
+Newton's identities (at an elevated p-power precision, so the divisions
+by l are exact) give u_l, and the T-adic Newton polygon is the lower
+hull of (l, v_T(u_l)/n).  Points outside the window contribute only
+beyond T^N.
+
+Exactness: products run in float64 BLAS on entries reduced mod p^m, and
+every sum is reduced before it could pass 2^53, so each is an exact
+integer and u_l equals the pure integer computation bit for bit.  The
+guard p^(2m) * inner-dim < 2^53, one T-slice's worth, refuses the rest.
 """
 
 from __future__ import annotations
@@ -67,6 +78,67 @@ def validate_support(delta: TriangleSpec, f_hat: dict[Point, int], p: int):
             raise HullMismatchError(f"vertex coefficient at {vertex} vanishes mod p")
 
 
+def _series_toeplitz(s: np.ndarray) -> np.ndarray:
+    """The N x N matrix S with x @ S = x * s mod T^N for a row vector x."""
+    N = len(s)
+    shift = np.arange(N)[None, :] - np.arange(N)[:, None]
+    return np.where(shift >= 0, s[np.maximum(shift, 0)], 0)
+
+
+def _expand_stacked(delta: TriangleSpec, a_mats: dict[Point, np.ndarray],
+                    one: np.ndarray, ring: SeriesRing,
+                    w_cap: int) -> dict[Point, np.ndarray]:
+    """prod E(a_Q pi x^Q) with coefficients acting as n x n matrices.
+
+    The e_P are one stacked (#points, n, N) array.  For each support
+    point Q and each j, the points with w(P) + j w(Q) <= w_cap take one
+    batched step: the coefficient matrix E_j a_Q^j, then the Toeplitz
+    matrix of pi^j; the products are scatter-added at P + jQ through a
+    scalar point key, linear in the point.
+    """
+    m = ring.modulus
+    E = artin_hasse(ring)
+    pi = pi_of_T(ring)
+    cap_num = w_cap * delta.det
+    pi_toep = [_series_toeplitz(ring.one())]
+    for _ in range(ring.N - 1):
+        pi_toep.append(pi_toep[-1] @ _series_toeplitz(pi) % m)
+    # every coordinate of a point of weight <= w_cap lies in [-span, span]
+    span = w_cap * max(abs(delta.a1), abs(delta.b1), abs(delta.a2), abs(delta.b2))
+    base = 2 * span + 1
+    wvec = np.array([delta.wx, delta.wy])
+    pts = np.zeros((1, 2), dtype=np.int64)
+    vals = one[None]
+    for q in sorted(a_mats, key=delta.canonical_key):
+        wq = delta.weight_num(q)
+        apow = np.eye(len(one), dtype=np.int64)
+        keys = (pts[:, 0] + span) * base + pts[:, 1] + span
+        wts = pts @ wvec
+        steps = []
+        for j in range(ring.N):
+            if j * wq > cap_num:
+                break
+            sel = np.flatnonzero(wts + j * wq <= cap_num)
+            # pi^j = O(T^j): only T^(<N-j) of the input reaches T^(<N)
+            part = vals[sel, :, : ring.N - j]
+            if j:
+                part = np.einsum('cd,pdt->pct', int(E[j]) * apow % m, part) % m
+                part = part @ pi_toep[j][: ring.N - j, j:] % m
+            steps.append((keys[sel] + j * (q[0] * base + q[1]), j, part))
+            apow = a_mats[q] @ apow % m
+        uniq, inv = np.unique(np.concatenate([k for k, _, _ in steps]),
+                              return_inverse=True)
+        vals = np.zeros((len(uniq),) + one.shape, dtype=np.int64)
+        start = 0
+        for k, j, part in steps:
+            # the targets of one j are distinct, so += adds each once
+            vals[inv[start:start + len(k)], :, j:] += part
+            start += len(k)
+        vals %= m
+        pts = np.stack([uniq // base - span, uniq % base - span], axis=1)
+    return dict(zip(map(tuple, pts.tolist()), vals))
+
+
 def expand_Ef(delta: TriangleSpec, f_hat: dict[Point, int], ring: SeriesRing,
               w_cap: int) -> dict[Point, np.ndarray]:
     """Coefficient series e_P of prod E(a_Q pi x^Q), for all w(P) <= w_cap.
@@ -75,37 +147,10 @@ def expand_Ef(delta: TriangleSpec, f_hat: dict[Point, int], ring: SeriesRing,
     weight cap are exact zeros mod T^N whenever w_cap >= N.
     """
     validate_support(delta, f_hat, ring.p)
-    E = artin_hasse(ring)
-    pi = pi_of_T(ring)
-    cap_num = w_cap * delta.det
-    pi_pows = [ring.one()]
-    for _ in range(ring.N - 1):
-        pi_pows.append(ring.mul(pi_pows[-1], pi))
-    acc: dict[Point, np.ndarray] = {(0, 0): ring.one()}
-    for q in sorted(f_hat, key=delta.canonical_key):
-        a = f_hat[q] % ring.modulus
-        wq = delta.weight_num(q)
-        terms = []
-        apow = 1
-        for j in range(ring.N):
-            if j * wq > cap_num:
-                break
-            terms.append(ring.scal(int(E[j]) * apow % ring.modulus, pi_pows[j]))
-            apow = apow * a % ring.modulus
-        new: dict[Point, np.ndarray] = {}
-        for pt, s in acc.items():
-            wpt = delta.weight_num(pt)
-            for j, tj in enumerate(terms):
-                if wpt + j * wq > cap_num:
-                    break
-                tgt = (pt[0] + j * q[0], pt[1] + j * q[1])
-                contrib = ring.mul(s, tj) if j else s
-                if tgt in new:
-                    new[tgt] = ring.add(new[tgt], contrib)
-                else:
-                    new[tgt] = contrib.copy() if j == 0 else contrib
-        acc = new
-    return acc
+    a_mats = {q: np.array([[a % ring.modulus]], dtype=np.int64)
+              for q, a in f_hat.items()}
+    e_map = _expand_stacked(delta, a_mats, ring.one()[None], ring, w_cap)
+    return {pt: s[0] for pt, s in e_map.items()}
 
 
 def assert_valuation_bounds(delta: TriangleSpec, ring: SeriesRing,
@@ -136,24 +181,36 @@ def dwork_matrix(delta: TriangleSpec, ring: SeriesRing,
 def poly_matmul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     """Series-matrix product, exact through float64 BLAS.
 
-    Requires modulus^2 * inner-dim < 2^53 so every dot product is an
-    exactly representable integer.
+    Entries lie in [0, modulus), the output's too.  Requires
+    modulus^2 * inner-dim < 2^53, so that one T-slice's dot products
+    are exactly representable integers.  Each T-slice of a multiplies
+    only its nonzero rows, and the float64 sums are reduced mod modulus
+    only when the next slice could carry one past 2^53, so every sum
+    stays an exact integer.
     """
     m, k, N = a.shape
     n = b.shape[1]
     if modulus * modulus * k >= 2 ** 53:
         raise ValueError("modulus too large for exact float64 matmul")
-    af = a.astype(np.float64)
-    out = np.zeros((m, n, N), dtype=np.float64)
-    b3 = b.astype(np.float64)
+    step = (modulus - 1) ** 2 * k
+    slices = a.transpose(2, 0, 1).astype(np.float64)
+    live = slices.any(axis=2)
+    # T-major columns: the first (N - t1) * n of them are the T^(<N-t1) part
+    bt = b.transpose(0, 2, 1).astype(np.float64).reshape(k, N * n)
+    acc = np.zeros((m, N, n))
+    bound = 0
     for t1 in range(N):
-        block = af[:, :, t1]
-        if not block.any():
+        rows = np.flatnonzero(live[t1])
+        if not len(rows):
             continue
-        prod = block @ b3[:, :, : N - t1].reshape(k, n * (N - t1))
-        out[:, :, t1:] = np.remainder(out[:, :, t1:]
-                                      + prod.reshape(m, n, N - t1), modulus)
-    return out.astype(np.int64)
+        if bound + step >= 2 ** 53:
+            np.remainder(acc[:, t1:], modulus, out=acc[:, t1:])
+            bound = modulus - 1
+        prod = slices[t1, rows] @ bt[:, : (N - t1) * n]
+        acc[rows, t1:] += prod.reshape(len(rows), N - t1, n)
+        bound += step
+    return np.remainder(acc, modulus).transpose(0, 2, 1).astype(np.int64,
+                                                                  order='C')
 
 
 def poly_trace(a: np.ndarray, modulus: int) -> np.ndarray:
@@ -246,41 +303,15 @@ def _expand_Ef_zq(delta: TriangleSpec, f_hat: dict[Point, np.ndarray],
                   w_cap: int) -> dict[Point, np.ndarray]:
     """expand_Ef for Z_q coefficients given as coordinate vectors.
 
-    Each e_P is an (n, N) array of coordinates.  A product with E_j a_Q^j
-    applies its multiplication matrix, then convolves with pi^j.
+    Each e_P is an (n, N) array of coordinates; a_Q acts by its
+    multiplication matrix.
     """
     validate_support(delta, f_hat, ring.p)
-    E = artin_hasse(ring)
-    pi = pi_of_T(ring)
-    cap_num = w_cap * delta.det
-    m = ring.modulus
-    pi_pows = [ring.one()]
-    for _ in range(ring.N - 1):
-        pi_pows.append(ring.mul(pi_pows[-1], pi))
+    a_mats = {q: np.tensordot(a, mult, 1) % ring.modulus
+              for q, a in f_hat.items()}
     # the coordinates of 1 (first column of mult[0] = I) times the series 1
-    acc: dict[Point, np.ndarray] = {(0, 0): np.outer(mult[0][:, 0], ring.one())}
-    for q in sorted(f_hat, key=delta.canonical_key):
-        a_mat = np.tensordot(f_hat[q], mult, 1) % m
-        wq = delta.weight_num(q)
-        coeffs = []
-        apow = mult[0]
-        for j in range(ring.N):
-            if j * wq > cap_num:
-                break
-            coeffs.append(int(E[j]) * apow % m)
-            apow = a_mat @ apow % m
-        new: dict[Point, np.ndarray] = {}
-        for pt, s in acc.items():
-            wpt = delta.weight_num(pt)
-            for j, cj in enumerate(coeffs):
-                if wpt + j * wq > cap_num:
-                    break
-                tgt = (pt[0] + j * q[0], pt[1] + j * q[1])
-                contrib = np.array([ring.mul(row, pi_pows[j])
-                                    for row in cj @ s % m]) if j else s
-                new[tgt] = (new[tgt] + contrib) % m if tgt in new else contrib
-        acc = new
-    return acc
+    return _expand_stacked(delta, a_mats, np.outer(mult[0][:, 0], ring.one()),
+                           ring, w_cap)
 
 
 def _zq_mat_mul(X: np.ndarray, Y: np.ndarray, mult: np.ndarray,
@@ -295,49 +326,99 @@ def _zq_mat_mul(X: np.ndarray, Y: np.ndarray, mult: np.ndarray,
     return prod.reshape(w, n, w, N)
 
 
+def _pair_trace(X: np.ndarray, Y: np.ndarray, mult: np.ndarray,
+                modulus: int) -> np.ndarray:
+    """Coordinates (n, N) of tr(XY) for (w, n, w, N) Z_q series matrices.
+
+    tr(XY) = sum_(i,j) X[i,j] Y[j,i]: one float64 product pairs every
+    T^t1 coefficient with every T^t2 coefficient over all (i, j), the
+    anti-diagonals t1 + t2 = t give the T-convolution, and mult contracts
+    the coordinate pair.  Sums run over blocks of rows i small enough to
+    stay exact; the guard is poly_matmul's.
+    """
+    w, n, _, N = X.shape
+    if modulus * modulus * w * n >= 2 ** 53:
+        raise ValueError("modulus too large for exact float64 matmul")
+    xf = X.transpose(0, 2, 1, 3).astype(np.float64).reshape(w, w, n * N)
+    yf = Y.transpose(2, 0, 1, 3).astype(np.float64).reshape(w, w, n * N)
+    rows = (2 ** 53 - modulus) // ((modulus - 1) ** 2 * w)
+    G = np.zeros((n * N, n * N))
+    for i in range(0, w, rows):
+        blk = G + xf[i:i + rows].reshape(-1, n * N).T \
+            @ yf[i:i + rows].reshape(-1, n * N)
+        G = np.remainder(blk, modulus)
+    G = G.astype(np.int64).reshape(n, N, n, N)
+    H = np.zeros((n, n, N), dtype=np.int64)
+    for t1 in range(N):
+        H[:, :, t1:] += G[:, t1, :, : N - t1]
+    return np.einsum('acb,abt->ct', mult, H % modulus) % modulus
+
+
+def _operator(delta, f_hat_residues, p, m_work, N, n, window):
+    """(A, mult): the operator over F_{p^n} and the multiplication table.
+
+    For n = 1, A is the (w, w, N) int operator and mult is 1.  For n > 1,
+    residues are ints or length-n tuples in UnramifiedRing's basis, A =
+    sigma^(n-1)(A1) ... sigma(A1) A1 is held as (w, n, w, N) Z_q
+    coordinates, and mult[a] multiplies by t^a: its column j holds the
+    coordinates of t^(a+j) reduced by the modulus.
+    """
+    if n == 1:
+        mat = dwork_operator(delta, f_hat_residues, p, m_work, N, window)
+        return mat, np.ones((1, 1, 1), dtype=np.int64)
+    m = p ** m_work
+    Rq = UnramifiedRing(p, m_work, n)
+    ring = SeriesRing(p, m_work, N)
+    basis = np.eye(n, dtype=np.int64).tolist()
+    mult = np.array([[Rq.mul(a, b) for b in basis]
+                     for a in basis]).transpose(0, 2, 1)
+    # column j of frob is sigma(t^j)
+    frob = np.array([Rq.frobenius(tuple(b)) for b in basis]).T
+    f_hat = {}
+    for q, c in f_hat_residues.items():
+        elt = tuple(c) if isinstance(c, (tuple, list)) else Rq.from_int(c)
+        f_hat[q] = np.array(Rq.teichmueller(elt), dtype=np.int64)
+    e_map = _expand_Ef_zq(delta, f_hat, mult, ring, w_cap=N)
+    mat = dwork_matrix(delta, ring, e_map, window, p).transpose(0, 2, 1, 3)
+    conj = mat
+    for _ in range(1, n):
+        conj = np.einsum('ca,iajt->icjt', frob, conj) % m
+        mat = _zq_mat_mul(conj, mat, mult, m)
+    return mat, mult
+
+
 def _twisted_traces(delta, f_hat_residues, p, m_work, N, L, n, slack):
     """tr(A^k) mod (p^m_work, T^N), k = 1..L, for the operator A over F_{p^n}.
 
-    For n > 1, residues are ints or length-n tuples in UnramifiedRing's
-    basis, and A = sigma^(n-1)(A1) ... sigma(A1) A1 is held as (w, n, w, N)
-    Z_q coordinates.  A trace is coordinate 0 of the summed diagonal; the
-    others must vanish.
+    A trace is coordinate 0 of the Z_q trace; the others must vanish.
+    Only the powers A^i, i <= ceil(L/2), are formed, each as A times the
+    last, and two are alive at a time: tr(A^(2i-1)) = tr(A^i A^(i-1)) and
+    tr(A^(2i)) = tr(A^i A^i).
     """
     window = window_points(delta, p, N, slack)
+    w = len(window)
     m = p ** m_work
-    if n == 1:
-        mat = dwork_operator(delta, f_hat_residues, p, m_work, N, window)
-    else:
-        Rq = UnramifiedRing(p, m_work, n)
-        ring = SeriesRing(p, m_work, N)
-        # mult[a] multiplies by t^a: its column j holds the coordinates of
-        # t^(a+j) reduced by the modulus; column j of frob is sigma(t^j)
-        basis = np.eye(n, dtype=np.int64).tolist()
-        mult = np.array([[Rq.mul(a, b) for b in basis]
-                         for a in basis]).transpose(0, 2, 1)
-        frob = np.array([Rq.frobenius(tuple(b)) for b in basis]).T
-        f_hat = {}
-        for q, c in f_hat_residues.items():
-            elt = tuple(c) if isinstance(c, (tuple, list)) else Rq.from_int(c)
-            f_hat[q] = np.array(Rq.teichmueller(elt), dtype=np.int64)
-        e_map = _expand_Ef_zq(delta, f_hat, mult, ring, w_cap=N)
-        mat = dwork_matrix(delta, ring, e_map, window, p).transpose(0, 2, 1, 3)
-        conj = mat
-        for _ in range(1, n):
-            conj = np.einsum('ca,iajt->icjt', frob, conj) % m
-            mat = _zq_mat_mul(conj, mat, mult, m)
+    mat, mult = _operator(delta, f_hat_residues, p, m_work, N, n, window)
+
+    def coords(X):
+        return X.reshape(w, n, w, N)
+
     traces = []
-    power = mat
-    for _ in range(L):
-        coords = power.reshape(len(window), n, len(window), N)
-        tr = [poly_trace(coords[:, c], m) for c in range(n)]
-        if any(t.any() for t in tr[1:]):
-            raise AssertionError("twisted trace left the base ring")
-        traces.append(tr[0])
-        if len(traces) < L:
-            power = (poly_matmul(power, mat, m) if n == 1
-                     else _zq_mat_mul(power, mat, mult, m))
-    return traces
+    prev, power = None, mat
+    for i in range(1, (L + 1) // 2 + 1):
+        if i > 1:
+            prev, power = power, (poly_matmul(mat, power, m) if n == 1
+                                  else _zq_mat_mul(mat, power, mult, m))
+        if prev is None:
+            traces.append(np.array([poly_trace(coords(power)[:, c], m)
+                                    for c in range(n)]))
+        else:
+            traces.append(_pair_trace(coords(power), coords(prev), mult, m))
+        if 2 * i <= L:
+            traces.append(_pair_trace(coords(power), coords(power), mult, m))
+    if any(tr[1:].any() for tr in traces):
+        raise AssertionError("twisted trace left the base ring")
+    return [tr[0] for tr in traces]
 
 
 def newton_polygon_C(cs: CharSeries) -> tuple[PolygonHull, list[int], list[int]]:

@@ -197,9 +197,9 @@ def pi_of_T(ring: SeriesRing) -> np.ndarray:
     dE = ring.derivative(E)
     target = ring.zero()
     target[0] = 1
-    target[1] = 1 if ring.N > 1 else 0
     pi = ring.zero()
     if ring.N > 1:
+        target[1] = 1
         pi[1] = 1
     steps = max(1, math.ceil(math.log2(max(2, ring.N))))
     for _ in range(steps):

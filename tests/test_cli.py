@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from tpoly import cli, svg
+from tpoly import beta as beta_mod
+from tpoly import cli, combos, svg
 from tpoly.lattice import isosceles
 
 
@@ -136,3 +140,36 @@ def test_verify_rejects_bad_config():
         run(["verify", "--d", "7", "--p", "15"])
     with pytest.raises(SystemExit):
         run(["verify", "--d", "7", "--p", "7"])
+
+
+def test_verify_budget_refusal(tmp_path, monkeypatch):
+    def out_of_budget(*_args, **_kwargs):
+        raise combos.EnumerationBudgetExceeded("related enumeration budget exceeded")
+    monkeypatch.setattr(beta_mod, "related_class_characterization", out_of_budget)
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--d", "13", "--p", "41", "--json", str(out)]) == 2
+    rep = json.loads(out.read_text())
+    status = {c["name"]: c["status"] for c in rep["checks"]}
+    assert status["beta_pipeline"] == "out-of-budget"
+    assert rep["failures"] == 0
+
+
+def run_process(argv):
+    """The CLI in a fresh interpreter, as a user runs it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "tpoly.cli", *argv],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+@pytest.mark.parametrize("extra", [["--lmax", "-1"], ["--tprec", "0"],
+                                   ["--M", "8", "--tprec", "12"]])
+def test_dwork_np_refusals(tmp_path, extra):
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"3,0": 1, "0,3": 2, "1,1": 3}))
+    res = run_process(["dwork-np", "--d", "3", "--p", "7", "--f", str(f),
+                       *extra])
+    assert res.returncode != 0
+    assert "Traceback" not in res.stderr
+    assert "dwork-np" in res.stderr

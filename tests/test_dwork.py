@@ -176,3 +176,221 @@ def test_binomial_row():
     import math
     for j in range(6):
         assert row[j] == math.comb(10, j) % 49
+
+
+# -- the fast paths against their slow references ----------------------
+
+
+def _ref_poly_matmul(a, b, modulus):
+    """Exact int64 convolution of series matrices, one T-pair at a time."""
+    N = a.shape[2]
+    out = np.zeros((a.shape[0], b.shape[1], N), dtype=np.int64)
+    for t1 in range(N):
+        for t2 in range(N - t1):
+            out[:, :, t1 + t2] = (out[:, :, t1 + t2]
+                                  + a[:, :, t1] @ b[:, :, t2]) % modulus
+    return out
+
+
+def test_poly_matmul_matches_int_convolution():
+    # 7^8 with k = 78 sits just under the guard: with entries near the
+    # modulus a slice adds nearly 2.6e15, so the float64 sums must be
+    # reduced every third slice or they pass 2^53 and lose bits
+    modulus, k, N = 7 ** 8, 78, 12
+    rng = np.random.default_rng(5)
+    a = rng.integers(modulus - 1000, modulus, size=(30, k, N))
+    a *= rng.random((30, 1, N)) >= 0.6   # zero rows of each T-slice
+    a[:, :, [0, 3, 4]] = 0               # whole zero slices
+    b = rng.integers(modulus - 1000, modulus, size=(k, 20, N))
+    got = dwork.poly_matmul(a, b, modulus)
+    assert got.dtype == np.int64 and got.flags.c_contiguous
+    assert (got == _ref_poly_matmul(a, b, modulus)).all()
+    with pytest.raises(ValueError, match="modulus too large"):
+        dwork.poly_matmul(a, b, 7 ** 9)
+
+
+@pytest.fixture(scope="module")
+def berkowitz_d3():
+    p, M, N = 7, 2, 12
+    window = dwork.window_points(D3, p, N)
+    mat = dwork.dwork_operator(D3, F3, p, M, N, window)
+    return dwork.berkowitz_char_coeffs(mat, SeriesRing(p, M, N))
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 3, 8])
+def test_char_series_matches_berkowitz(berkowitz_d3, L):
+    cs = dwork.char_series(D3, F3, 7, 2, 12, L)
+    assert len(cs.u) == L + 1
+    for ell in range(L + 1):
+        assert cs.u[ell].dtype == np.int64
+        assert (cs.u[ell] == berkowitz_d3[ell]).all()
+
+
+def _ref_expand_Ef(delta, f_hat, ring, w_cap):
+    """The per-point dict loop of expand_Ef, one convolution per term."""
+    E = dwork.artin_hasse(ring)
+    pi = dwork.pi_of_T(ring)
+    cap_num = w_cap * delta.det
+    pi_pows = [ring.one()]
+    for _ in range(ring.N - 1):
+        pi_pows.append(ring.mul(pi_pows[-1], pi))
+    acc = {(0, 0): ring.one()}
+    for q in sorted(f_hat, key=delta.canonical_key):
+        a = f_hat[q] % ring.modulus
+        wq = delta.weight_num(q)
+        terms = []
+        apow = 1
+        for j in range(ring.N):
+            if j * wq > cap_num:
+                break
+            terms.append(ring.scal(int(E[j]) * apow % ring.modulus, pi_pows[j]))
+            apow = apow * a % ring.modulus
+        new = {}
+        for pt, s in acc.items():
+            wpt = delta.weight_num(pt)
+            for j, tj in enumerate(terms):
+                if wpt + j * wq > cap_num:
+                    break
+                tgt = (pt[0] + j * q[0], pt[1] + j * q[1])
+                contrib = ring.mul(s, tj) if j else s
+                new[tgt] = ring.add(new[tgt], contrib) if tgt in new else contrib
+        acc = new
+    return acc
+
+
+def _ref_expand_Ef_zq(delta, f_hat, mult, ring, w_cap):
+    """The per-point dict loop of _expand_Ef_zq on coordinate arrays."""
+    E = dwork.artin_hasse(ring)
+    pi = dwork.pi_of_T(ring)
+    cap_num = w_cap * delta.det
+    m = ring.modulus
+    pi_pows = [ring.one()]
+    for _ in range(ring.N - 1):
+        pi_pows.append(ring.mul(pi_pows[-1], pi))
+    acc = {(0, 0): np.outer(mult[0][:, 0], ring.one())}
+    for q in sorted(f_hat, key=delta.canonical_key):
+        a_mat = np.tensordot(f_hat[q], mult, 1) % m
+        wq = delta.weight_num(q)
+        coeffs = []
+        apow = mult[0]
+        for j in range(ring.N):
+            if j * wq > cap_num:
+                break
+            coeffs.append(int(E[j]) * apow % m)
+            apow = a_mat @ apow % m
+        new = {}
+        for pt, s in acc.items():
+            wpt = delta.weight_num(pt)
+            for j, cj in enumerate(coeffs):
+                if wpt + j * wq > cap_num:
+                    break
+                tgt = (pt[0] + j * q[0], pt[1] + j * q[1])
+                contrib = np.array([ring.mul(row, pi_pows[j])
+                                    for row in cj @ s % m]) if j else s
+                new[tgt] = (new[tgt] + contrib) % m if tgt in new else contrib
+        acc = new
+    return acc
+
+
+def _same_map(got, want):
+    assert got.keys() == want.keys()
+    for pt, s in want.items():
+        assert got[pt].dtype == np.int64 and (got[pt] == s).all(), pt
+
+
+@pytest.mark.parametrize("w_cap", [5, 14])
+def test_expand_Ef_matches_dict_loop(w_cap):
+    ring = SeriesRing(7, 2, 14)
+    rng = random.Random(w_cap)
+    f = {(x, y): rng.randrange(1, 7)
+         for x in range(4) for y in range(4 - x) if (x, y) != (0, 0)}
+    f[(0, 0)] = 3   # weight 0: every power lands on the same point
+    lifted = _lift(f, 7, 2)
+    _same_map(dwork.expand_Ef(D3, lifted, ring, w_cap),
+              _ref_expand_Ef(D3, lifted, ring, w_cap))
+
+
+def _f49_setup(M):
+    """mult table and Teichmueller lifts for F_49 residues (as char_series)."""
+    Rq = dwork.UnramifiedRing(7, M, 2)
+    basis = np.eye(2, dtype=np.int64).tolist()
+    mult = np.array([[Rq.mul(a, b) for b in basis]
+                     for a in basis]).transpose(0, 2, 1)
+    return Rq, mult
+
+
+# coordinate 1 is nonzero at every point, so every e_P leaves F_7
+F49 = {(1, 0): (3, 5), (0, 1): (2, 1), (2, 0): (1, 4), (1, 1): (6, 2),
+       (0, 2): (5, 3)}
+
+
+@pytest.mark.parametrize("w_cap", [4, 12])
+def test_expand_Ef_zq_matches_dict_loop(w_cap):
+    ring = SeriesRing(7, 2, 12)
+    Rq, mult = _f49_setup(2)
+    f_hat = {q: np.array(Rq.teichmueller(c), dtype=np.int64)
+             for q, c in F49.items()}
+    got = dwork._expand_Ef_zq(D2, f_hat, mult, ring, w_cap)
+    want = _ref_expand_Ef_zq(D2, f_hat, mult, ring, w_cap)
+    _same_map(got, want)
+    assert any(s[1].any() for s in want.values())
+
+
+def test_pair_trace_matches_trace_of_product():
+    # Z_q coordinates over F_49 near the guard: summed at once, the
+    # 20 x 20 pairs of near-modulus entries would pass 2^53
+    modulus, w, N = 7 ** 8, 20, 6
+    _, mult = _f49_setup(8)
+    rng = np.random.default_rng(6)
+    X, Y = rng.integers(modulus - 1000, modulus, size=(2, w, 2, w, N))
+    prod = dwork._zq_mat_mul(X, Y, mult, modulus)
+    want = np.einsum('icit->ct', prod) % modulus
+    assert (dwork._pair_trace(X, Y, mult, modulus) == want).all()
+
+
+def _ref_twisted_traces(delta, f_hat_residues, p, m_work, N, L, n, slack):
+    """tr(A^k) from every power A^k = A^(k-1) A in turn, read off the diagonal."""
+    window = dwork.window_points(delta, p, N, slack)
+    w = len(window)
+    m = p ** m_work
+    mat, mult = dwork._operator(delta, f_hat_residues, p, m_work, N, n, window)
+    traces = []
+    power = mat
+    for k in range(1, L + 1):
+        coords = power.reshape(w, n, w, N)
+        tr = [dwork.poly_trace(coords[:, c], m) for c in range(n)]
+        assert not any(t.any() for t in tr[1:])
+        traces.append(tr[0])
+        if k < L:
+            power = (dwork.poly_matmul(power, mat, m) if n == 1
+                     else dwork._zq_mat_mul(power, mat, mult, m))
+    return traces
+
+
+def _power_loop_char_series(monkeypatch, *args, **kwargs):
+    with monkeypatch.context() as mp:
+        mp.setattr(dwork, "_twisted_traces", _ref_twisted_traces)
+        return dwork.char_series(*args, **kwargs)
+
+
+def _same_u(fast, slow):
+    assert len(fast.u) == len(slow.u)
+    for x, y in zip(fast.u, slow.u):
+        assert x.dtype == y.dtype == np.int64 and (x == y).all()
+
+
+def test_twisted_n2_char_series_matches_power_loop(monkeypatch):
+    # at N = 20 the products of coordinate-1 parts reach the traces
+    # (from T^16 on), so the coordinate contraction is exercised
+    args = (D2, F49)
+    kwargs = dict(p=7, M=2, N=20, L=5, n=2)
+    _same_u(dwork.char_series(*args, **kwargs),
+            _power_loop_char_series(monkeypatch, *args, **kwargs))
+
+
+def test_char_series_near_the_guard_matches_power_loop(monkeypatch):
+    # p^8 on a 36-point window: one slice holds 1.2e15, so poly_matmul
+    # reduces partway and the trace pairing sums over blocks of rows
+    args = (D3, F3, 7, 8, 12, 4)
+    _same_u(dwork.char_series(*args),
+            _power_loop_char_series(monkeypatch, *args))
