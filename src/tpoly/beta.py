@@ -22,7 +22,7 @@ from fractions import Fraction
 from .lattice import (Point, TriangleSpec, antidiag_index, diag_index,
                       mirror, split_T1)
 from .combos import (EnumerationBudgetExceeded, SpecialBijection,
-                     _make_special, k2_region)
+                     _make_special, combo_denominator, k2_region)
 
 
 class BetaHypothesisError(RuntimeError):
@@ -732,10 +732,9 @@ def related_class_characterization(a: BetaAssembly,
     Two class notions are reported: the full multiset class (every
     special bijection sharing the difference-vector multiset) and its
     symmetric members, which is the class the toggle characterization
-    describes.  The class coefficient sums sign/prod(b!) in exact
-    rationals over the full multiset class.
+    describes.  The class coefficient sums sign/prod(b!) = sign/K in
+    exact rationals over the full multiset class.
     """
-    from .combos import combo_from_bijection
     delta, p = a.delta, a.p
     _, _, y0, _ = split_T1(delta, p)
     toggles = valid_toggles(a, budget)
@@ -750,12 +749,9 @@ def related_class_characterization(a: BetaAssembly,
                 generated[key] = _make_special(delta, list(y0), full)
     enumerated = enumerate_related(delta, p, a.special.vectors, budget)
     symmetric = [b for b in enumerated if is_symmetric(delta, b)]
-    coeff = Fraction(0)
-    for b in enumerated:
-        coeff += b.sign * combo_from_bijection(delta, p, b).coefficient
-    sym_coeff = Fraction(0)
-    for b in symmetric:
-        sym_coeff += b.sign * combo_from_bijection(delta, p, b).coefficient
+    k = combo_denominator(delta, p)
+    coeff = Fraction(sum(b.sign for b in enumerated), k)
+    sym_coeff = Fraction(sum(b.sign for b in symmetric), k)
     return {
         "k_formula": a.k_formula,
         "k_validated": len(toggles),

@@ -9,6 +9,7 @@ independent of the worker count (checks are pure and keyed by name).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -155,9 +156,15 @@ def cmd_dwork_np(args) -> int:
 def cmd_leading_coeff(args) -> int:
     delta = triangle_from_args(args)
     check_config(delta, args.p)
+    if args.M < 1:
+        raise SystemExit("leading-coeff needs --M >= 1")
     f = load_f(args.f)
     h1 = hodge.minimal_h(delta, args.p, lattice.enumerate_T(delta, 1))
-    det = dwork.det_T1(delta, f, args.p, args.M, h1 + 2)
+    try:
+        det = dwork.det_T1(delta, f, args.p, args.M, h1 + 2)
+    except ValueError as exc:
+        # a support that is not a full triangle, or p^M past exact int64
+        raise SystemExit(f"leading-coeff refused: {exc}") from None
     lead = int(det[h1])
     payload = {"schema": SCHEMA, "command": "leading-coeff", "p": args.p,
                "h_T1": h1, "leading": lead,
@@ -173,21 +180,23 @@ def cmd_leading_coeff(args) -> int:
 def cmd_special(args) -> int:
     delta = triangle_from_args(args)
     check_config(delta, args.p)
-    bs = combos.special_bijections(delta, args.p, budget=args.budget)
-    classes = combos.relatedness_classes(bs)
-    recs = []
-    for cl in classes:
-        datas = [combos.combo_from_bijection(delta, args.p, b) for b in cl]
-        coeff = sum(b.sign * data.coefficient for b, data in zip(cl, datas))
-        recs.append({
-            "vector_multiset": [list(v) for v in cl[0].vectors],
-            "size": len(cl),
-            "sign_balance": sum(b.sign for b in cl),
-            "coefficient": frac_str(coeff),
-            "exponents": list(datas[0].exponents),
-        })
+    try:
+        classes = combos.special_classes(delta, args.p, budget=args.budget)
+    except combos.EnumerationBudgetExceeded as exc:
+        dump_json({"schema": SCHEMA, "command": "special", "p": args.p,
+                   "status": "out-of-budget", "reason": str(exc)},
+                  args.emit_classes)
+        return 2
+    recs = [{
+        "vector_multiset": [list(v) for v in c.vectors],
+        "size": c.size,
+        "sign_balance": c.sign_balance,
+        "coefficient": frac_str(c.coefficient),
+        "exponents": list(c.exponents),
+    } for c in classes]
     dump_json({"schema": SCHEMA, "command": "special", "p": args.p,
-               "count": len(bs), "classes": recs}, args.emit_classes)
+               "count": sum(c.size for c in classes), "classes": recs},
+              args.emit_classes)
     return 0
 
 
@@ -303,6 +312,11 @@ def build_checks(delta: TriangleSpec, p: int, seed: int):
 
     def add(name, provenance, fn):
         checks.append(_check(name, provenance, fn))
+
+    # one enumeration for every check of this battery that needs it
+    @functools.cache
+    def special_bijections():
+        return combos.special_bijections(delta, p)
 
     def c_counts():
         rows = []
@@ -425,14 +439,14 @@ def build_checks(delta: TriangleSpec, p: int, seed: int):
         add("example_permutation_is_minimal", "reference", c_example_tau)
 
         def c_example_beta():
-            bs = combos.special_bijections(delta, p)
+            bs = special_bijections()
             hit = any(b.as_dict() == EXAMPLE_BETA_7_17 for b in bs)
             return hit, "example bijection enumerated", len(bs)
         add("example_special_bijection_present", "reference", c_example_beta)
 
         def c_exponents():
             exp1, exp2 = combos.expected_vertex_exponents(delta, p)
-            bs = combos.special_bijections(delta, p)
+            bs = special_bijections()
             rng = random.Random(rng_seed)
             sample = [bs[rng.randrange(len(bs))] for _ in range(60)]
             datas = [combos.combo_from_bijection(delta, p, b) for b in sample]
@@ -449,7 +463,7 @@ def build_checks(delta: TriangleSpec, p: int, seed: int):
             ident = hodge.score_assignment(delta, p, t1, t1,
                                            list(range(len(t1))))
             o = hodge.assignment_oracle(delta, p, t1, t1)
-            bs = combos.special_bijections(delta, p)
+            bs = special_bijections()
             return (not t12 and not y0 and ident.h == o.h
                     and len(bs) == 1 and bs[0].sign == 1), \
                 "empty Y0, identity minimal", (len(t12), ident.h, o.h)

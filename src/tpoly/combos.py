@@ -6,6 +6,16 @@ bijection corresponds to a unique minimal permutation of T1 whose
 expansion vectors are forced, which is what makes the leading
 coefficient of the T1 determinant tractable: terms group by the
 difference-vector multiset (relatedness classes).
+
+A class's multiset is a count per generator label, hence a monomial, and
+every bijection's combo coefficient is sign/K with one K for all of them
+(``combo_denominator``).  So ``special_classes`` reads every class's
+size, sign balance and monomial off one signed subset DP over the
+special-pair matrix on Y0 x Y0, the determinant view of the special
+part, without enumerating a bijection.  ``special_bijections``,
+``relatedness_classes`` and ``combo_from_bijection`` enumerate and
+reconstruct bijection by bijection; they are the oracle the DP is tested
+against.
 """
 
 from __future__ import annotations
@@ -111,7 +121,12 @@ def special_bijections(delta: TriangleSpec, p: int,
             used.discard(q)
         assignment.pop(pt, None)
 
-    rec(0)
+    try:
+        rec(0)
+    finally:
+        # rec holds itself, and through it out: without this, the
+        # bijections outlive the caller's list until a cyclic collection
+        del rec
     if len(out) > budget:
         raise EnumerationBudgetExceeded("too many bijections for the budget")
     return sorted(out, key=lambda b: b.pairs)
@@ -181,22 +196,6 @@ def combo_from_bijection(delta: TriangleSpec, p: int,
                      tuple(exps), coeff, total)
 
 
-def v_special(delta: TriangleSpec, p: int,
-              budget: int = 2_000_000) -> dict[tuple[int, ...], Fraction]:
-    """The special part of the leading coefficient, grouped by monomial.
-
-    Returns exponent-vector -> exact rational coefficient (signs summed).
-    """
-    out: dict[tuple[int, ...], Fraction] = {}
-    for beta in special_bijections(delta, p, budget):
-        data = combo_from_bijection(delta, p, beta)
-        if data.tau_sign != beta.sign:
-            raise AssertionError("bijection sign disagrees with permutation sign")
-        out[data.exponents] = out.get(data.exponents, Fraction(0)) \
-            + beta.sign * data.coefficient
-    return {k: v for k, v in out.items() if v != 0}
-
-
 def relatedness_classes(bijections: list[SpecialBijection]) \
         -> list[list[SpecialBijection]]:
     """Group by the difference-vector multiset."""
@@ -204,6 +203,134 @@ def relatedness_classes(bijections: list[SpecialBijection]) \
     for b in bijections:
         groups.setdefault(b.vectors, []).append(b)
     return [groups[k] for k in sorted(groups)]
+
+
+def combo_denominator(delta: TriangleSpec, p: int) -> int:
+    """K = prod over T1 of floor(px/d)! * floor(py/d)!.
+
+    The expansion vector of a T1 point holds these two vertex entries,
+    plus a 1 at the extra label for a T_{1,2} point.  The extra label is
+    never a vertex label (``special_classes`` checks it), so every special
+    bijection's combo coefficient is exactly sign/K.  Checks that every
+    vertex entry is below p.
+    """
+    d = delta.d
+    k = 1
+    for x, y in enumerate_T(delta, 1):
+        i1, i2 = (p * x) // d, (p * y) // d
+        if i1 >= p or i2 >= p:
+            raise AssertionError("expansion entry reached p")
+        k *= math.factorial(i1) * math.factorial(i2)
+    return k
+
+
+@dataclass(frozen=True)
+class SpecialClass:
+    """One relatedness class: the special bijections sharing a multiset."""
+
+    vectors: tuple[Point, ...]     # sorted multiset of P - beta(P)
+    exponents: tuple[int, ...]     # its monomial: column sums over labels
+    size: int                      # number of special bijections
+    sign_balance: int              # sum of their signs
+    coefficient: Fraction          # sum of sign/K = sign_balance/K
+
+
+def special_classes(delta: TriangleSpec, p: int,
+                    budget: int = 2_000_000) -> list[SpecialClass]:
+    """Every relatedness class, by a signed subset DP over special pairs.
+
+    Row i of the table is Y0[i], column j the target m(Y0[j]); an entry
+    is the extra label of P - m(Q) when that difference is special.  The
+    DP places one row per step.  A state packs the used columns and the
+    count per extra label into one int, and carries the unsigned and the
+    signed number of partial bijections reaching it.  Placing row i at
+    column j flips the sign once per used column right of j, which counts
+    the inversions of the permutation of Y0.  Full states are the classes,
+    ordered by multiset as ``relatedness_classes`` orders them.
+
+    All-or-nothing: more than ``budget`` DP transitions raises.
+    """
+    d = delta.d
+    labels = label_T1prime(delta)
+    label_idx = {q: i for i, q in enumerate(labels)}
+    _, t12, y0, _ = split_T1(delta, p)
+    k = combo_denominator(delta, p)
+    base = [0] * len(labels)
+    base[0], base[1] = expected_vertex_exponents(delta, p)
+    # the T_{1,2} point whose residue is each Y0 point
+    source = {((p * x) % d, (p * y) % d): (x, y) for x, y in t12}
+    n = len(y0)
+    width = n.bit_length()          # a label count is at most n
+    full = (1 << n) - 1
+    used_labels: dict[int, int] = {}  # label index -> packed slot
+    rows = []
+    for pt in y0:
+        x, y = source[pt]
+        i1, i2 = (p * x) // d, (p * y) // d
+        row = []
+        for j, col in enumerate(y0):
+            q = mirror(delta, col)
+            extra = (pt[0] - q[0], pt[1] - q[1])
+            if not (delta.in_cone(extra)
+                    and delta.weight_num(extra) <= delta.det):
+                continue
+            lab = label_idx[extra]
+            if lab < 2:
+                raise AssertionError(f"extra label {extra} is a vertex label")
+            combo = (i1 * labels[0][0] + i2 * labels[1][0] + labels[lab][0],
+                     i1 * labels[0][1] + i2 * labels[1][1] + labels[lab][1])
+            if combo != (p * x - q[0], p * y - q[1]):
+                raise AssertionError(f"combo constraint fails at {q}")
+            slot = used_labels.setdefault(lab, len(used_labels))
+            row.append((j, (1 << j) + (1 << (n + width * slot)),
+                        full & -(2 << j)))
+        rows.append(row)
+
+    layer = {0: (1, 1)}             # packed state -> (count, signed count)
+    steps = 0
+    for row in rows:
+        nxt: dict[int, tuple[int, int]] = {}
+        for key, (cnt, sgn) in layer.items():
+            for j, add, right in row:
+                if key >> j & 1:
+                    continue
+                steps += 1
+                if steps > budget:
+                    raise EnumerationBudgetExceeded(
+                        f"more than {budget} DP transitions")
+                if (key & right).bit_count() & 1:
+                    s = -sgn
+                else:
+                    s = sgn
+                nk = key + add
+                old = nxt.get(nk)
+                nxt[nk] = (cnt, s) if old is None \
+                    else (old[0] + cnt, old[1] + s)
+        layer = nxt
+
+    slot_mask = (1 << width) - 1
+    out = []
+    for key, (cnt, sgn) in layer.items():
+        packed = key >> n
+        exps = list(base)
+        vecs = []
+        for lab, slot in used_labels.items():
+            c = (packed >> (width * slot)) & slot_mask
+            exps[lab] += c
+            vecs += [labels[lab]] * c
+        out.append(SpecialClass(tuple(sorted(vecs)), tuple(exps), cnt, sgn,
+                                Fraction(sgn, k)))
+    return sorted(out, key=lambda c: c.vectors)
+
+
+def v_special(delta: TriangleSpec, p: int,
+              budget: int = 2_000_000) -> dict[tuple[int, ...], Fraction]:
+    """The special part of the leading coefficient, grouped by monomial.
+
+    Returns exponent-vector -> exact rational coefficient (signs summed).
+    """
+    return {c.exponents: c.coefficient
+            for c in special_classes(delta, p, budget) if c.sign_balance}
 
 
 def expected_vertex_exponents(delta: TriangleSpec, p: int) -> tuple[int, int]:

@@ -73,6 +73,34 @@ def test_special_command(tmp_path):
     assert data["classes"][0]["size"] == 1
 
 
+def _ref_special_payload(delta, p):
+    """The special report built bijection by bijection, as before the DP."""
+    bs = combos.special_bijections(delta, p)
+    recs = []
+    for cl in combos.relatedness_classes(bs):
+        datas = [combos.combo_from_bijection(delta, p, b) for b in cl]
+        coeff = sum(b.sign * data.coefficient for b, data in zip(cl, datas))
+        recs.append({
+            "vector_multiset": [list(v) for v in cl[0].vectors],
+            "size": len(cl),
+            "sign_balance": sum(b.sign for b in cl),
+            "coefficient": cli.frac_str(coeff),
+            "exponents": list(datas[0].exponents),
+        })
+    return {"schema": cli.SCHEMA, "command": "special", "p": p,
+            "count": len(bs), "classes": recs}
+
+
+@pytest.mark.parametrize("d,p", [(5, 11), (5, 19), (7, 53)])
+def test_special_matches_enumeration(tmp_path, d, p):
+    out = tmp_path / "cls.json"
+    assert run(["special", "--d", str(d), "--p", str(p),
+                "--emit-classes", str(out)]) == 0
+    ref = cli.dump_json(_ref_special_payload(isosceles(d), p),
+                        str(tmp_path / "ref.json"))
+    assert out.read_text() == ref
+
+
 def test_beta_command(tmp_path):
     out = tmp_path / "beta.json"
     pic = tmp_path / "beta.svg"
@@ -135,6 +163,23 @@ def test_verify_outside_c0_hypothesis(tmp_path):
     assert status["c0_distribution_rows"] == "out-of-hypothesis"
 
 
+def test_verify_enumerates_special_bijections_once(tmp_path, monkeypatch):
+    calls = []
+    enumerate_all = combos.special_bijections
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_all(*args, **kwargs)
+    monkeypatch.setattr(combos, "special_bijections", counted)
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--d", "7", "--p", "17", "--json", str(out)]) == 0
+    status = {c["name"]: c["status"]
+              for c in json.loads(out.read_text())["checks"]}
+    assert status["example_special_bijection_present"] == "pass"
+    assert status["special_combo_exponent_maximality"] == "pass"
+    assert len(calls) == 1
+
+
 def test_verify_rejects_bad_config():
     with pytest.raises(SystemExit):
         run(["verify", "--d", "7", "--p", "15"])
@@ -173,3 +218,23 @@ def test_dwork_np_refusals(tmp_path, extra):
     assert res.returncode != 0
     assert "Traceback" not in res.stderr
     assert "dwork-np" in res.stderr
+
+
+def test_special_budget_refusal():
+    res = run_process(["special", "--d", "7", "--p", "17", "--budget", "1000"])
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    rep = json.loads(res.stdout)
+    assert rep["status"] == "out-of-budget" and rep["command"] == "special"
+    assert rep["reason"] == "more than 1000 DP transitions"
+
+
+@pytest.mark.parametrize("M", ["0", "30"])
+def test_leading_coeff_refusals(tmp_path, M):
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"3,0": 1, "0,3": 2, "1,1": 3}))
+    res = run_process(["leading-coeff", "--d", "3", "--p", "7", "--f", str(f),
+                       "--M", M])
+    assert res.returncode != 0
+    assert "Traceback" not in res.stderr
+    assert "leading-coeff" in res.stderr

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -43,6 +45,17 @@ def test_example_bijection_enumerated():
 def test_budget_is_all_or_nothing():
     with pytest.raises(combos.EnumerationBudgetExceeded):
         combos.special_bijections(D7, 17, budget=50)
+
+
+def test_special_bijections_freed_without_cyclic_collection():
+    gc.disable()
+    try:
+        bs = combos.special_bijections(D7, 17)
+        first = weakref.ref(bs[0])
+        del bs
+        assert first() is None
+    finally:
+        gc.enable()
 
 
 def test_combo_correspondence_roundtrip():
@@ -99,6 +112,32 @@ def test_v_special_denominators_p_units_7_17():
     vs = combos.v_special(D7, 17)
     assert all(v.denominator % 17 != 0 for v in vs.values())
     assert len(vs) > 1
+
+
+def test_special_classes_match_enumeration_7_17():
+    # the DP against the bijection-by-bijection oracle
+    p = 17
+    bs = combos.special_bijections(D7, p)
+    oracle = combos.relatedness_classes(bs)
+    classes = combos.special_classes(D7, p)
+    assert [c.vectors for c in classes] == [cl[0].vectors for cl in oracle]
+    assert [c.size for c in classes] == [len(cl) for cl in oracle]
+    assert [c.sign_balance for c in classes] \
+        == [sum(b.sign for b in cl) for cl in oracle]
+    by_vectors = {c.vectors: c for c in classes}
+    k = combos.combo_denominator(D7, p)
+    for b in random.Random(3).sample(bs, 100):
+        data = combos.combo_from_bijection(D7, p, b)
+        assert b.sign * data.coefficient == Fraction(b.sign, k)
+        assert by_vectors[b.vectors].exponents == data.exponents
+
+
+def test_special_classes_budget_counts_transitions():
+    # (7,17) takes 38,845 DP transitions; one fewer is all-or-nothing
+    assert sum(c.size for c in combos.special_classes(D7, 17, budget=38_845)) \
+        == 12_096
+    with pytest.raises(combos.EnumerationBudgetExceeded):
+        combos.special_classes(D7, 17, budget=38_844)
 
 
 def test_relatedness_classes_mirror_invariant():
