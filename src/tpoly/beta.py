@@ -21,8 +21,8 @@ from fractions import Fraction
 
 from .lattice import (Point, TriangleSpec, antidiag_index, diag_index,
                       mirror, split_T1)
-from .combos import (EnumerationBudgetExceeded, SpecialBijection,
-                     _make_special, combo_denominator, k2_region)
+from .combos import (EnumerationBudgetExceeded, SpecialBijection, _d1_d0_d2,
+                     _special_maker, combo_denominator, k2_region)
 
 
 class BetaHypothesisError(RuntimeError):
@@ -119,12 +119,6 @@ def partition_facts(delta: TriangleSpec, p: int, part: Partition123) -> dict:
 # -- stage 2 bookkeeping ------------------------------------------------
 
 
-def _d_split(d: int, p0: int):
-    d1, d0 = divmod(d, p0)
-    d2 = pow(d0, -1, p0) if p0 > 1 else 0
-    return d1, d0, d2
-
-
 def choose_u(d: int, p: int) -> dict:
     """Optimizer u of the exponent trade-off G(h, u) = max(2(u-h), 1-u, u).
 
@@ -135,7 +129,7 @@ def choose_u(d: int, p: int) -> dict:
     if p0 < 2:
         return {"p0": p0, "u": 0.5, "h_d0": None, "h_d2": None, "case": "trivial",
                 "G": 0.5}
-    _, d0, d2 = _d_split(d, p0)
+    _, d0, d2 = _d1_d0_d2(d, p0)
     h_d0 = math.log(max(p0 - d0, 1), p0) if p0 > 1 else 0.0
     h_d2 = math.log(max(p0 - d2, 1), p0) if p0 > 1 else 0.0
     h = h_d2
@@ -190,7 +184,7 @@ def stage2_bookkeeping(delta: TriangleSpec, p: int, part: Partition123,
                        k20: list[Point]) -> dict:
     d = delta.d
     p0 = p % d
-    _, d0, d2 = _d_split(d, p0)
+    _, d0, d2 = _d1_d0_d2(d, p0)
     sel = choose_u(d, p)
     u = sel["u"]
     jt = list(range(d - 3 * p0, d))
@@ -496,6 +490,7 @@ def assemble_beta(delta: TriangleSpec, p: int, budget: int = 400_000,
     p0 = p % d
     b1, part = build_beta1(delta, p)
     _, _, y0, my0 = split_T1(delta, p)
+    make_special = _special_maker(delta, y0)
     my0_set = set(my0)
     hyp = {"p_gt_2d_plus_1": p > 2 * d + 1, "p0_lt_d_over_6": 6 * p0 < d}
     facts = partition_facts(delta, p, part)
@@ -556,7 +551,7 @@ def assemble_beta(delta: TriangleSpec, p: int, budget: int = 400_000,
                                      None, budget):
                 full = dict(fixed)
                 full.update(comp)
-                spec_b = _make_special(delta, list(y0), full)
+                spec_b = make_special(full)
                 if first is None:
                     first = (full, comp, spec_b)
                 if not prefer_even or spec_b.sign == 1:
@@ -736,7 +731,7 @@ def related_class_characterization(a: BetaAssembly,
     exact rationals over the full multiset class.
     """
     delta, p = a.delta, a.p
-    _, _, y0, _ = split_T1(delta, p)
+    make_special = _special_maker(delta, split_T1(delta, p)[2])
     toggles = valid_toggles(a, budget)
     generated = {}
     import itertools
@@ -746,7 +741,7 @@ def related_class_characterization(a: BetaAssembly,
                 else dict(a.beta)
             if full is not None:
                 key = tuple(sorted(full.items()))
-                generated[key] = _make_special(delta, list(y0), full)
+                generated[key] = make_special(full)
     enumerated = enumerate_related(delta, p, a.special.vectors, budget)
     symmetric = [b for b in enumerated if is_symmetric(delta, b)]
     k = combo_denominator(delta, p)
@@ -772,6 +767,7 @@ def enumerate_related(delta: TriangleSpec, p: int,
         -> list[SpecialBijection]:
     """All special bijections with the given difference multiset."""
     _, _, y0, my0 = split_T1(delta, p)
+    make_special = _special_maker(delta, y0)
     my0_set = set(my0)
     counts: dict[Point, int] = {}
     for v in vectors:
@@ -788,7 +784,7 @@ def enumerate_related(delta: TriangleSpec, p: int,
         if steps > budget:
             raise EnumerationBudgetExceeded("related enumeration budget exceeded")
         if i == len(order):
-            out.append(_make_special(delta, list(y0), assignment))
+            out.append(make_special(assignment))
             return
         src = order[i]
         for v in sorted(c for c in counts if counts[c] > 0):

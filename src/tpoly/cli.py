@@ -33,8 +33,6 @@ def frac_str(x) -> str:
 def _json_default(obj):
     if isinstance(obj, Fraction):
         return frac_str(obj)
-    if isinstance(obj, tuple):
-        return list(obj)
     raise TypeError(f"unserializable {type(obj)}")
 
 
@@ -64,6 +62,14 @@ def check_config(delta: TriangleSpec, p: int) -> None:
         raise SystemExit("p divides det; the residue machinery degenerates")
 
 
+def refuse(args, reason: str, status: str = "refused",
+           path: str | None = None) -> int:
+    """A typed refusal: one JSON record (to --json or path) and exit 2."""
+    dump_json({"schema": SCHEMA, "command": args.command, "p": args.p,
+               "status": status, "reason": reason}, path or args.json)
+    return 2
+
+
 def load_f(path: str) -> dict[lattice.Point, int]:
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -80,6 +86,8 @@ def load_f(path: str) -> dict[lattice.Point, int]:
 def cmd_ihp(args) -> int:
     delta = triangle_from_args(args)
     check_config(delta, args.p)
+    if args.lmax < 0:
+        return refuse(args, "ihp needs --lmax >= 0")
     res = hodge.ihp(delta, args.p, args.lmax)
     payload = {
         "schema": SCHEMA,
@@ -131,7 +139,10 @@ def cmd_dwork_np(args) -> int:
     check_config(delta, args.p)
     if args.M < 1 or args.tprec < 1 or args.lmax < 0:
         raise SystemExit("dwork-np needs --M >= 1, --tprec >= 1 and --lmax >= 0")
-    f = load_f(args.f)
+    try:
+        f = load_f(args.f)
+    except (OSError, ValueError) as exc:
+        return refuse(args, f"cannot read --f: {exc}")
     try:
         cs = dwork.char_series(delta, f, args.p, args.M, args.tprec, args.lmax)
     except ValueError as exc:
@@ -158,7 +169,10 @@ def cmd_leading_coeff(args) -> int:
     check_config(delta, args.p)
     if args.M < 1:
         raise SystemExit("leading-coeff needs --M >= 1")
-    f = load_f(args.f)
+    try:
+        f = load_f(args.f)
+    except (OSError, ValueError) as exc:
+        return refuse(args, f"cannot read --f: {exc}")
     h1 = hodge.minimal_h(delta, args.p, lattice.enumerate_T(delta, 1))
     try:
         det = dwork.det_T1(delta, f, args.p, args.M, h1 + 2)
@@ -183,10 +197,7 @@ def cmd_special(args) -> int:
     try:
         classes = combos.special_classes(delta, args.p, budget=args.budget)
     except combos.EnumerationBudgetExceeded as exc:
-        dump_json({"schema": SCHEMA, "command": "special", "p": args.p,
-                   "status": "out-of-budget", "reason": str(exc)},
-                  args.emit_classes)
-        return 2
+        return refuse(args, str(exc), "out-of-budget", args.emit_classes)
     recs = [{
         "vector_multiset": [list(v) for v in c.vectors],
         "size": c.size,
@@ -575,7 +586,11 @@ def main(argv=None) -> int:
     sp.set_defaults(fn=cmd_verify)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except lattice.NotIsoscelesError as exc:
+        # verify, figure, special and beta read the isosceles leg d
+        return refuse(args, f"{args.command} needs --d: {exc}")
 
 
 if __name__ == "__main__":

@@ -25,8 +25,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import (Point, TriangleSpec, antidiag_index, diag_index,
-                      enumerate_T, fundamental_cell, mirror, split_T1)
+from .lattice import (Point, TriangleSpec, antidiag_index, enumerate_T,
+                      fundamental_cell, mirror, split_T1)
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -72,13 +72,25 @@ class SpecialBijection:
         return dict(self.pairs)
 
 
-def _make_special(delta: TriangleSpec, y0: list[Point],
-                  mapping: dict[Point, Point]) -> SpecialBijection:
-    pairs = tuple((pt, mapping[pt]) for pt in y0)
-    index = {pt: i for i, pt in enumerate(y0)}
-    perm = [index[mirror(delta, mapping[pt])] for pt in y0]
-    vecs = tuple(sorted((pt[0] - q[0], pt[1] - q[1]) for pt, q in pairs))
-    return SpecialBijection(pairs, permutation_sign(perm), vecs)
+def _special_maker(delta: TriangleSpec, y0: tuple[Point, ...]):
+    """SpecialBijection from a Y0 -> m(Y0) dict, for one enumeration.
+
+    Builds the mirror index once; the bijections it makes share their
+    equal (P, beta(P)) pairs, difference vectors and vector multisets.
+    """
+    index = {mirror(delta, pt): i for i, pt in enumerate(y0)}
+    shared: dict[tuple, tuple] = {}
+
+    def share(t: tuple) -> tuple:
+        return shared.setdefault(t, t)
+
+    def make(mapping: dict[Point, Point]) -> SpecialBijection:
+        pairs = tuple(share((pt, mapping[pt])) for pt in y0)
+        vecs = sorted(share((pt[0] - q[0], pt[1] - q[1])) for pt, q in pairs)
+        perm = [index[q] for _, q in pairs]
+        return SpecialBijection(pairs, permutation_sign(perm),
+                                share(tuple(vecs)))
+    return make
 
 
 def special_bijections(delta: TriangleSpec, p: int,
@@ -98,6 +110,7 @@ def special_bijections(delta: TriangleSpec, p: int,
                 and delta.weight_num((pt[0] - q[0], pt[1] - q[1])) <= delta.det]
         cand[pt] = opts
     order = sorted(y0, key=lambda pt: (len(cand[pt]),) + delta.canonical_key(pt))
+    make = _special_maker(delta, y0)
     out: list[SpecialBijection] = []
     used: set[Point] = set()
     assignment: dict[Point, Point] = {}
@@ -109,7 +122,7 @@ def special_bijections(delta: TriangleSpec, p: int,
         if steps > budget:
             raise EnumerationBudgetExceeded(f"more than {budget} search steps")
         if i == len(order):
-            out.append(_make_special(delta, y0, assignment))
+            out.append(make(assignment))
             return
         pt = order[i]
         for q in cand[pt]:
@@ -127,8 +140,6 @@ def special_bijections(delta: TriangleSpec, p: int,
         # rec holds itself, and through it out: without this, the
         # bijections outlive the caller's list until a cyclic collection
         del rec
-    if len(out) > budget:
-        raise EnumerationBudgetExceeded("too many bijections for the budget")
     return sorted(out, key=lambda b: b.pairs)
 
 
@@ -183,7 +194,7 @@ def combo_from_bijection(delta: TriangleSpec, p: int,
     tau_pairs = tuple(sorted(((src, pt) for pt, src in tau_inv.items()),
                              key=lambda pr: delta.canonical_key(pr[0])))
     exps = [0] * len(labels)
-    coeff = Fraction(1)
+    denom = 1
     total = 0
     for vec in b_vectors.values():
         for i, b in enumerate(vec):
@@ -191,9 +202,9 @@ def combo_from_bijection(delta: TriangleSpec, p: int,
             total += b
             if b >= p:
                 raise AssertionError("expansion entry reached p")
-            coeff /= math.factorial(b)
+            denom *= math.factorial(b)
     return ComboData(tau_pairs, permutation_sign(perm), b_vectors,
-                     tuple(exps), coeff, total)
+                     tuple(exps), Fraction(1, denom), total)
 
 
 def relatedness_classes(bijections: list[SpecialBijection]) \

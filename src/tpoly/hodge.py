@@ -63,17 +63,10 @@ def score_assignment(delta: TriangleSpec, p: int, source, target, mapping) -> As
         h += cost_term(delta, p, source[i], target[j])
         rnums.append(r_num(delta, p, source[i], target[j]))
     h1 = Fraction((p - 1) * sum(delta.weight_num(q) for q in source), det)
-    ustar = tuple(sorted(Fraction(r, det) for r in rnums))
-    h2 = sum(ustar, Fraction(0))
+    ustar = tuple(Fraction(r, det) for r in sorted(rnums))
+    h2 = Fraction(sum(rnums), det)
     assert h == h1 + h2
     return Assignment(source, target, mapping, h, h1, h2, ustar)
-
-
-def _r_matrix(delta: TriangleSpec, p: int, source, target) -> np.ndarray:
-    det = delta.det
-    src_w = np.array([delta.weight_num(q) for q in source], dtype=np.int64)
-    dst_w = np.array([delta.weight_num(q) for q in target], dtype=np.int64)
-    return (src_w[:, None] - p * dst_w[None, :]) % det
 
 
 def greedy_minimal_permutation(delta: TriangleSpec, p: int, points,
@@ -87,22 +80,25 @@ def greedy_minimal_permutation(delta: TriangleSpec, p: int, points,
     n = len(pts)
     if n == 0:
         return score_assignment(delta, p, (), (), ())
-    r = _r_matrix(delta, p, pts, pts)
+    w = np.array([delta.weight_num(q) for q in pts], dtype=np.int64)
+    r = (w[:, None] - p * w[None, :]) % delta.det
     idx = np.arange(n * n, dtype=np.int64).reshape(n, n)
     if reverse_ties:
         idx = n * n - 1 - idx
     prio = r * (n * n) + idx
+    # priorities are distinct, so taking the least free pair n times is
+    # one sweep of the sorted pairs that skips any pair already blocked
     mapping = [-1] * n
-    free_src = np.ones(n, dtype=bool)
-    free_dst = np.ones(n, dtype=bool)
-    big = np.int64(2 ** 62)
-    for _ in range(n):
-        masked = np.where(free_src[:, None] & free_dst[None, :], prio, big)
-        flat = int(np.argmin(masked))
-        i, j = divmod(flat, n)
-        mapping[i] = j
-        free_src[i] = False
-        free_dst[j] = False
+    taken = [False] * n
+    left = n
+    rows, cols = np.divmod(np.argsort(prio, axis=None), n)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if mapping[i] < 0 and not taken[j]:
+            mapping[i] = j
+            taken[j] = True
+            left -= 1
+            if not left:
+                break
     return score_assignment(delta, p, pts, pts, mapping)
 
 
@@ -124,7 +120,6 @@ def assignment_oracle(delta: TriangleSpec, p: int, source, target) -> Assignment
     dst_w = np.array([delta.weight_num(q) for q in dst], dtype=np.int64)
     num = p * dst_w[None, :] - src_w[:, None]
     cost = -((-num) // det)
-    cost = cost - cost.min()
     mapping = _solve_assignment(cost)
     return score_assignment(delta, p, src, dst, mapping)
 
@@ -132,15 +127,28 @@ def assignment_oracle(delta: TriangleSpec, p: int, source, target) -> Assignment
 def _solve_assignment(cost: np.ndarray) -> list[int]:
     """Successive shortest augmenting paths with potentials, integer-exact.
 
+    A column-reduction start (Jonker and Volgenant, 1987) builds a
+    feasible dual u + v <= cost and matches rows along tight edges
+    u + v == cost; that partial matching is optimal for its rows by LP
+    duality, and the augmenting loop finishes any row it leaves free.
     Column n is the virtual start column holding the currently free row.
     """
     n = cost.shape[0]
     INF = np.int64(2 ** 62)
-    u = np.zeros(n, dtype=np.int64)
-    v = np.zeros(n + 1, dtype=np.int64)
+    v = cost.min(axis=0)
+    u = (cost - v).min(axis=1)
+    tight = u[:, None] + v[None, :] == cost
+    v = np.append(v, 0)
     match = np.full(n + 1, -1, dtype=np.int64)
-    way = np.zeros(n, dtype=np.int64)
+    free_rows = []
     for i in range(n):
+        cols = np.flatnonzero(tight[i] & (match[:n] < 0))
+        if len(cols):
+            match[cols[0]] = i
+        else:
+            free_rows.append(i)
+    way = np.zeros(n, dtype=np.int64)
+    for i in free_rows:
         match[n] = i
         j0 = n
         minv = np.full(n, INF, dtype=np.int64)
@@ -233,17 +241,6 @@ def hypothesis_holds(delta: TriangleSpec, p: int) -> bool:
     import math as _m
     g = _m.gcd(delta.a1 - delta.a2, delta.b1 - delta.b2)
     return delta.det % p != 0 and p > 2 * delta.det // g + 1
-
-
-def weight_minimal_prefix(delta: TriangleSpec, ell: int, pool=None) -> list[Point]:
-    """The ell lowest-weight cone points (ties by canonical order)."""
-    if pool is None:
-        k = 1
-        pool = enumerate_T(delta, k, closed=True)
-        while len(pool) < ell:
-            k += 1
-            pool = enumerate_T(delta, k, closed=True)
-    return pool[:ell]
 
 
 def ihp(delta: TriangleSpec, p: int, l_max: int) -> IhpResult:

@@ -13,20 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 Point = tuple[int, int]
-
-
-class ScaledWeight(NamedTuple):
-    """A weight value num/den with den = det of the triangle."""
-
-    num: int
-    den: int
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
 
 
 class DegenerateTriangleError(ValueError):
@@ -95,9 +84,6 @@ class TriangleSpec:
         """Scaled weight: det * w(p), an integer of either sign."""
         return self.wx * p[0] + self.wy * p[1]
 
-    def weight(self, p: Point) -> ScaledWeight:
-        return ScaledWeight(self.weight_num(p), self.det)
-
     def ceil_weight(self, p: Point) -> int:
         return -((-self.weight_num(p)) // self.det)
 
@@ -130,13 +116,12 @@ def isosceles(d: int) -> TriangleSpec:
     return TriangleSpec(0, d, d, 0)
 
 
-def weight(delta: TriangleSpec, p: Point) -> ScaledWeight:
-    return delta.weight(p)
-
-
 @lru_cache(maxsize=4096)
-def enumerate_T(delta: TriangleSpec, k: int, closed: bool = False) -> list[Point]:
+def enumerate_T(delta: TriangleSpec, k: int,
+                closed: bool = False) -> tuple[Point, ...]:
     """Cone lattice points with weight < k (or <= k when closed), canonical order.
+
+    A tuple, since every caller shares the cached result.
 
     Bounding box comes from |coordinates of alpha*P1 + beta*P2| with
     alpha + beta = weight <= k.
@@ -154,7 +139,7 @@ def enumerate_T(delta: TriangleSpec, k: int, closed: bool = False) -> list[Point
             wn = delta.weight_num((x, y))
             if wn < bound_num or (closed and wn == bound_num):
                 out.append((x, y))
-    return delta.sort_points(out)
+    return tuple(delta.sort_points(out))
 
 
 def x_count(delta: TriangleSpec, k: int, closed: bool = False) -> int:

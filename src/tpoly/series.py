@@ -257,7 +257,7 @@ def find_irreducible(p: int, r: int) -> tuple[int, ...]:
         return result
 
     x_elt = tuple(1 if i == 1 else 0 for i in range(r))
-    prime_divs = [q for q in range(2, r + 1) if r % q == 0 and _is_prime(q)]
+    prime_divs = [q for q in range(2, r + 1) if r % q == 0 and is_prime(q)]
     for code in range(p ** r):
         coeffs = []
         c = code
@@ -273,7 +273,7 @@ def find_irreducible(p: int, r: int) -> tuple[int, ...]:
     raise RuntimeError("no irreducible found")
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     for w in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -294,9 +294,6 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-is_prime = _is_prime
 
 
 class UnramifiedRing:
@@ -336,9 +333,6 @@ class UnramifiedRing:
             base = self.mul(base, base)
             e >>= 1
         return out
-
-    def is_unit(self, a) -> bool:
-        return any(c % self.p for c in a)
 
     def teichmueller(self, a):
         """The unique lift with x^(p^r) = x congruent to a mod p."""

@@ -199,11 +199,11 @@ def test_verify_budget_refusal(tmp_path, monkeypatch):
     assert rep["failures"] == 0
 
 
-def run_process(argv):
+def run_process(argv, python=("-m", "tpoly.cli")):
     """The CLI in a fresh interpreter, as a user runs it."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "tpoly.cli", *argv],
+    return subprocess.run([sys.executable, *python, *argv],
                           capture_output=True, text=True, timeout=300,
                           env=dict(os.environ, PYTHONPATH=path))
 
@@ -238,3 +238,40 @@ def test_leading_coeff_refusals(tmp_path, M):
     assert res.returncode != 0
     assert "Traceback" not in res.stderr
     assert "leading-coeff" in res.stderr
+
+
+GENERAL = ["--a1", "1", "--b1", "3", "--a2", "2", "--b2", "1", "--p", "11"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", *GENERAL],
+    ["figure", *GENERAL],
+    ["special", *GENERAL],
+    ["beta", *GENERAL],
+    ["dwork-np", "--d", "3", "--p", "7", "--f", "missing.json"],
+    ["leading-coeff", "--d", "3", "--p", "7", "--f", "missing.json"],
+    ["ihp", "--d", "7", "--p", "17", "--lmax", "-1"],
+], ids=["verify-general", "figure-general", "special-general",
+        "beta-general", "dwork-np-missing-f", "leading-coeff-missing-f",
+        "ihp-negative-lmax"])
+def test_refusals_are_json_with_exit_2(tmp_path, argv):
+    argv = [str(tmp_path / a) if a == "missing.json" else a for a in argv]
+    res = run_process(argv)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    rep = json.loads(res.stdout)
+    assert set(rep) == {"schema", "command", "p", "status", "reason"}
+    assert rep["status"] == "refused" and rep["command"] == argv[0]
+    assert rep["p"] == int(argv[argv.index("--p") + 1])
+
+
+def test_verify_imports_no_scipy(tmp_path):
+    # scipy's linear_sum_assignment would replace the oracle in one line,
+    # but importing it costs more set-up time and memory than the oracle
+    code = ("import sys; from tpoly import cli; "
+            f"rc = cli.main(['verify', '--d', '7', '--p', '17', "
+            f"'--json', {str(tmp_path / 'v.json')!r}]); "
+            "assert rc == 0, rc; "
+            "assert 'scipy' not in sys.modules, 'scipy imported'")
+    res = run_process([], python=("-c", code))
+    assert res.returncode == 0, res.stderr

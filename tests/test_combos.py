@@ -58,6 +58,30 @@ def test_special_bijections_freed_without_cyclic_collection():
         gc.enable()
 
 
+def _ref_make_special(delta, y0, mapping):
+    """The per-bijection construction before the shared maker."""
+    pairs = tuple((pt, mapping[pt]) for pt in y0)
+    index = {pt: i for i, pt in enumerate(y0)}
+    perm = [index[lattice.mirror(delta, mapping[pt])] for pt in y0]
+    vecs = tuple(sorted((pt[0] - q[0], pt[1] - q[1]) for pt, q in pairs))
+    return combos.SpecialBijection(pairs, combos.permutation_sign(perm), vecs)
+
+
+def test_special_bijections_match_reference_7_17():
+    _, _, y0, _ = lattice.split_T1(D7, 17)
+    bs = combos.special_bijections(D7, 17)
+    assert len(bs) == 12096
+    for b in bs:
+        ref = _ref_make_special(D7, y0, b.as_dict())
+        assert (b.pairs, b.sign, b.vectors) == \
+            (ref.pairs, ref.sign, ref.vectors)
+    # equal pairs, vectors and vector multisets are one object each
+    for part in (lambda b: b.pairs, lambda b: b.vectors,
+                 lambda b: (b.vectors,)):
+        items = [t for b in bs for t in part(b)]
+        assert len({id(t) for t in items}) == len(set(items))
+
+
 def test_combo_correspondence_roundtrip():
     # bijection -> combo -> bijection is the identity
     d = 7

@@ -1,6 +1,8 @@
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +11,103 @@ from tpoly.lattice import isosceles, make_triangle
 
 D5 = isosceles(5)
 D7 = isosceles(7)
+D13 = isosceles(13)
 TRI = make_triangle(1, 3, 2, 1)
+
+
+def _ref_solve_assignment(cost):
+    """The solver before the tight-dual start: zero potentials, every row
+    augmented.  Needs cost >= 0."""
+    n = cost.shape[0]
+    INF = np.int64(2 ** 62)
+    u = np.zeros(n, dtype=np.int64)
+    v = np.zeros(n + 1, dtype=np.int64)
+    match = np.full(n + 1, -1, dtype=np.int64)
+    way = np.zeros(n, dtype=np.int64)
+    for i in range(n):
+        match[n] = i
+        j0 = n
+        minv = np.full(n, INF, dtype=np.int64)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = int(match[j0])
+            notused = ~used[:n]
+            cur = cost[i0, :] - u[i0] - v[:n]
+            upd = notused & (cur < minv)
+            minv[upd] = cur[upd]
+            way[upd] = j0
+            cand = np.where(notused, minv, INF)
+            j1 = int(np.argmin(cand))
+            step = cand[j1]
+            used_real = used[:n]
+            u[match[:n][used_real].astype(np.int64)] += step
+            v[:n][used_real] -= step
+            u[int(match[n])] += step
+            v[n] -= step
+            minv[notused] -= step
+            j0 = j1
+            if match[j0] == -1:
+                break
+        while j0 != n:
+            j1 = int(way[j0])
+            match[j0] = match[j1]
+            j0 = j1
+    mapping = [0] * n
+    for j in range(n):
+        mapping[int(match[j])] = j
+    return mapping
+
+
+def _ref_greedy_mapping(delta, p, points, reverse_ties=False):
+    """The greedy before the sort-once sweep: n masked argmins."""
+    pts = delta.sort_points(points)
+    n = len(pts)
+    w = np.array([delta.weight_num(q) for q in pts], dtype=np.int64)
+    r = (w[:, None] - p * w[None, :]) % delta.det
+    idx = np.arange(n * n, dtype=np.int64).reshape(n, n)
+    if reverse_ties:
+        idx = n * n - 1 - idx
+    prio = r * (n * n) + idx
+    mapping = [-1] * n
+    free_src = np.ones(n, dtype=bool)
+    free_dst = np.ones(n, dtype=bool)
+    big = np.int64(2 ** 62)
+    for _ in range(n):
+        masked = np.where(free_src[:, None] & free_dst[None, :], prio, big)
+        flat = int(np.argmin(masked))
+        i, j = divmod(flat, n)
+        mapping[i] = j
+        free_src[i] = False
+        free_dst[j] = False
+    return tuple(mapping)
+
+
+def _cost_matrix(delta, p, source, target):
+    """The oracle's cost matrix, entry by entry through cost_term."""
+    src, dst = delta.sort_points(source), delta.sort_points(target)
+    return np.array([[hodge.cost_term(delta, p, a, b) for b in dst]
+                     for a in src], dtype=np.int64)
+
+
+def _total(cost, mapping):
+    assert sorted(mapping) == list(range(cost.shape[0]))
+    return int(cost[np.arange(cost.shape[0]), mapping].sum())
+
+
+def _rows_left_free_by_start(cost):
+    """Rows the column-reduction start cannot match along tight edges."""
+    v = cost.min(axis=0)
+    u = (cost - v).min(axis=1)
+    taken, free = set(), 0
+    for i in range(cost.shape[0]):
+        cols = [j for j in range(cost.shape[1])
+                if u[i] + v[j] == cost[i, j] and j not in taken]
+        if cols:
+            taken.add(cols[0])
+        else:
+            free += 1
+    return free
 
 
 def test_score_single_origin():
@@ -67,6 +165,62 @@ def test_brute_force_small_oracle(seed):
         sum(hodge.cost_term(TRI, 11, pts[i], pts[perm[i]]) for i in range(3))
         for perm in itertools.permutations(range(3)))
     assert hodge.assignment_oracle(TRI, 11, pts, pts).h == best
+
+
+@pytest.mark.parametrize("span", [1, 2, 3, 10, 1000])
+def test_solver_matches_brute_force(span):
+    # 600 random matrices per cost range, n <= 7; half carry negative
+    # entries, which the oracle's unshifted costs also do
+    rng = np.random.default_rng(span)
+    perms = {n: np.array(list(itertools.permutations(range(n))))
+             for n in range(1, 8)}
+    left_free = 0
+    for trial in range(600):
+        n = int(rng.integers(1, 8))
+        lo = -span if trial % 2 else 0
+        cost = rng.integers(lo, span + 1, size=(n, n), dtype=np.int64)
+        best = int(cost[np.arange(n), perms[n]].sum(axis=1).min())
+        assert _total(cost, hodge._solve_assignment(cost)) == best
+        left_free += _rows_left_free_by_start(cost) > 0
+    # the augmenting loop runs on a good share of the inputs
+    assert left_free >= 100
+
+
+@pytest.mark.parametrize("delta,p,k", [(TRI, 11, 3), (D7, 17, 2),
+                                       (D13, 41, 2)])
+def test_solver_matches_reference_on_subsets(delta, p, k):
+    rng = random.Random(p)
+    pool = lattice.enumerate_T(delta, k, closed=True)
+    for size in (1, 2, 5, 9, 17, 30, 60):
+        src = rng.sample(pool, min(size, len(pool)))
+        dst = rng.sample(pool, len(src))
+        for target in (dst, src):
+            cost = _cost_matrix(delta, p, src, target)
+            ref = _total(cost, _ref_solve_assignment(cost - cost.min()))
+            assert _total(cost, hodge._solve_assignment(cost)) == ref
+        # score_assignment's h = h1 + h2 needs equal multisets
+        assert hodge.assignment_oracle(delta, p, src, src).h == ref
+
+
+def test_solver_matches_reference_T2_13_41():
+    t2 = lattice.enumerate_T(D13, 2)
+    cost = _cost_matrix(D13, 41, t2, t2)
+    ref = _total(cost, _ref_solve_assignment(cost - cost.min()))
+    assert _total(cost, hodge._solve_assignment(cost)) == ref == 18014
+    assert hodge.assignment_oracle(D13, 41, t2, t2).h == ref
+
+
+@pytest.mark.parametrize("delta,p,k", [(TRI, 11, 3), (D7, 17, 2),
+                                       (D13, 41, 2)])
+def test_greedy_matches_masked_argmin_reference(delta, p, k):
+    rng = random.Random(k * p)
+    pool = lattice.enumerate_T(delta, k, closed=True)
+    for size in (1, 2, 3, 8, 20, 45, 90):
+        pts = rng.sample(pool, min(size, len(pool)))
+        for rev in (False, True):
+            g = hodge.greedy_minimal_permutation(delta, p, pts,
+                                                 reverse_ties=rev)
+            assert g.mapping == _ref_greedy_mapping(delta, p, pts, rev)
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,10 +13,10 @@ TRI = make_triangle(1, 3, 2, 1)
 
 
 def test_weight_examples():
-    assert lattice.weight(D7, (3, 4)).as_fraction() == 1
-    assert lattice.weight(D7, (0, 0)).num == 0
+    assert Fraction(D7.weight_num((3, 4)), D7.det) == 1
+    assert D7.weight_num((0, 0)) == 0
     assert TRI.det == 5
-    assert lattice.weight(TRI, (1, 1)).as_fraction() == Fraction(3, 5)
+    assert Fraction(TRI.weight_num((1, 1)), TRI.det) == Fraction(3, 5)
 
 
 def test_weight_normalized_on_vertices():
