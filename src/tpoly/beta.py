@@ -798,5 +798,10 @@ def enumerate_related(delta: TriangleSpec, p: int,
                 used.discard(q)
                 counts[v] += 1
 
-    rec(0)
+    try:
+        rec(0)
+    finally:
+        # rec holds itself, and through it out: without this, the
+        # bijections outlive the caller's list until a cyclic collection
+        del rec
     return out

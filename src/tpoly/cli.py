@@ -9,7 +9,6 @@ independent of the worker count (checks are pure and keyed by name).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import random
@@ -47,19 +46,23 @@ def dump_json(obj, path: str | None) -> str:
     return text
 
 
+class Refused(Exception):
+    """A documented refusal; ``main`` reports it through ``refuse``."""
+
+
 def triangle_from_args(args) -> TriangleSpec:
     if args.d is not None:
         return lattice.isosceles(args.d)
     if None in (args.a1, args.b1, args.a2, args.b2):
-        raise SystemExit("need --d or all of --a1 --b1 --a2 --b2")
+        raise Refused("need --d or all of --a1 --b1 --a2 --b2")
     return lattice.make_triangle(args.a1, args.b1, args.a2, args.b2)
 
 
 def check_config(delta: TriangleSpec, p: int) -> None:
     if not is_prime(p):
-        raise SystemExit(f"p = {p} is not prime")
+        raise Refused(f"p = {p} is not prime")
     if delta.det % p == 0:
-        raise SystemExit("p divides det; the residue machinery degenerates")
+        raise Refused("p divides det; the residue machinery degenerates")
 
 
 def refuse(args, reason: str, status: str = "refused",
@@ -71,12 +74,24 @@ def refuse(args, reason: str, status: str = "refused",
 
 
 def load_f(path: str) -> dict[lattice.Point, int]:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    """An --f file: a JSON object {"x,y": coefficient}; refuses any other."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise Refused(f"cannot read --f: {exc}") from None
+    if not isinstance(raw, dict):
+        raise Refused('--f must hold a JSON object {"x,y": coefficient}')
     out = {}
     for key, val in raw.items():
-        x, y = key.split(",")
-        out[(int(x), int(y))] = int(val)
+        try:
+            x, y = key.split(",")
+            if type(val) is not int:    # not a float, a string or a bool
+                raise TypeError
+            out[(int(x), int(y))] = val
+        except (TypeError, ValueError):
+            raise Refused(f"--f entry {key!r}: {val!r} is not "
+                          '"x,y": integer') from None
     return out
 
 
@@ -87,7 +102,7 @@ def cmd_ihp(args) -> int:
     delta = triangle_from_args(args)
     check_config(delta, args.p)
     if args.lmax < 0:
-        return refuse(args, "ihp needs --lmax >= 0")
+        raise Refused("ihp needs --lmax >= 0")
     res = hodge.ihp(delta, args.p, args.lmax)
     payload = {
         "schema": SCHEMA,
@@ -138,17 +153,14 @@ def cmd_dwork_np(args) -> int:
     delta = triangle_from_args(args)
     check_config(delta, args.p)
     if args.M < 1 or args.tprec < 1 or args.lmax < 0:
-        raise SystemExit("dwork-np needs --M >= 1, --tprec >= 1 and --lmax >= 0")
-    try:
-        f = load_f(args.f)
-    except (OSError, ValueError) as exc:
-        return refuse(args, f"cannot read --f: {exc}")
+        raise Refused("dwork-np needs --M >= 1, --tprec >= 1 and --lmax >= 0")
+    f = load_f(args.f)
     try:
         cs = dwork.char_series(delta, f, args.p, args.M, args.tprec, args.lmax)
     except ValueError as exc:
         # the documented refusals: support off the triangle, vanishing
         # vertex coefficients, exhausted precision, p^M past exact arithmetic
-        raise SystemExit(f"dwork-np refused: {exc}") from None
+        raise Refused(str(exc)) from None
     hull, certified, flagged = dwork.newton_polygon_C(cs)
     payload = {
         "schema": SCHEMA,
@@ -168,17 +180,14 @@ def cmd_leading_coeff(args) -> int:
     delta = triangle_from_args(args)
     check_config(delta, args.p)
     if args.M < 1:
-        raise SystemExit("leading-coeff needs --M >= 1")
-    try:
-        f = load_f(args.f)
-    except (OSError, ValueError) as exc:
-        return refuse(args, f"cannot read --f: {exc}")
+        raise Refused("leading-coeff needs --M >= 1")
+    f = load_f(args.f)
     h1 = hodge.minimal_h(delta, args.p, lattice.enumerate_T(delta, 1))
     try:
         det = dwork.det_T1(delta, f, args.p, args.M, h1 + 2)
     except ValueError as exc:
         # a support that is not a full triangle, or p^M past exact int64
-        raise SystemExit(f"leading-coeff refused: {exc}") from None
+        raise Refused(str(exc)) from None
     lead = int(det[h1])
     payload = {"schema": SCHEMA, "command": "leading-coeff", "p": args.p,
                "h_T1": h1, "leading": lead,
@@ -324,11 +333,6 @@ def build_checks(delta: TriangleSpec, p: int, seed: int):
     def add(name, provenance, fn):
         checks.append(_check(name, provenance, fn))
 
-    # one enumeration for every check of this battery that needs it
-    @functools.cache
-    def special_bijections():
-        return combos.special_bijections(delta, p)
-
     def c_counts():
         rows = []
         for k in (1, 2, 3):
@@ -450,16 +454,16 @@ def build_checks(delta: TriangleSpec, p: int, seed: int):
         add("example_permutation_is_minimal", "reference", c_example_tau)
 
         def c_example_beta():
-            bs = special_bijections()
-            hit = any(b.as_dict() == EXAMPLE_BETA_7_17 for b in bs)
-            return hit, "example bijection enumerated", len(bs)
+            sc = combos.SpecialCount(delta, p)
+            return (sc.pairs.admits(EXAMPLE_BETA_7_17),
+                    "example bijection enumerated", sc.count)
         add("example_special_bijection_present", "reference", c_example_beta)
 
         def c_exponents():
             exp1, exp2 = combos.expected_vertex_exponents(delta, p)
-            bs = special_bijections()
+            sc = combos.SpecialCount(delta, p)
             rng = random.Random(rng_seed)
-            sample = [bs[rng.randrange(len(bs))] for _ in range(60)]
+            sample = [sc.sample(rng) for _ in range(60)]
             datas = [combos.combo_from_bijection(delta, p, b) for b in sample]
             ok = all(dd.exponents[0] == exp1 and dd.exponents[1] == exp2
                      and dd.tau_sign == b.sign
@@ -474,9 +478,9 @@ def build_checks(delta: TriangleSpec, p: int, seed: int):
             ident = hodge.score_assignment(delta, p, t1, t1,
                                            list(range(len(t1))))
             o = hodge.assignment_oracle(delta, p, t1, t1)
-            bs = special_bijections()
-            return (not t12 and not y0 and ident.h == o.h
-                    and len(bs) == 1 and bs[0].sign == 1), \
+            sc = combos.SpecialCount(delta, p)
+            return (not t12 and not y0 and ident.h == o.h and sc.count == 1
+                    and sc.sample(random.Random(rng_seed)).sign == 1), \
                 "empty Y0, identity minimal", (len(t12), ident.h, o.h)
         add("ordinary_case_trivialities", "definition", c_ordinary)
 
@@ -588,6 +592,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
+    except Refused as exc:
+        return refuse(args, str(exc))
     except lattice.NotIsoscelesError as exc:
         # verify, figure, special and beta read the isosceles leg d
         return refuse(args, f"{args.command} needs --d: {exc}")

@@ -12,10 +12,13 @@ every bijection's combo coefficient is sign/K with one K for all of them
 (``combo_denominator``).  So ``special_classes`` reads every class's
 size, sign balance and monomial off one signed subset DP over the
 special-pair matrix on Y0 x Y0, the determinant view of the special
-part, without enumerating a bijection.  ``special_bijections``,
+part, without enumerating a bijection.  ``SpecialCount`` runs the
+unsigned subset DP on the same matrix: its number of completions per
+set of used columns gives the permanent, the number of special
+bijections, and draws one uniformly at random.  ``special_bijections``,
 ``relatedness_classes`` and ``combo_from_bijection`` enumerate and
-reconstruct bijection by bijection; they are the oracle the DP is tested
-against.
+reconstruct bijection by bijection; they are the oracle both DPs are
+tested against, and keep their own special-pair test for that reason.
 """
 
 from __future__ import annotations
@@ -91,6 +94,90 @@ def _special_maker(delta: TriangleSpec, y0: tuple[Point, ...]):
         return SpecialBijection(pairs, permutation_sign(perm),
                                 share(tuple(vecs)))
     return make
+
+
+@dataclass(frozen=True)
+class SpecialPairs:
+    """The special-pair matrix on Y0 x m(Y0), row by row.
+
+    Row i is Y0[i] and column j the target m(Y0[j]); rows[i] lists the
+    columns j, ascending, with Y0[i] - m(Y0[j]) in the closed unit-weight
+    triangle.
+    """
+
+    y0: tuple[Point, ...]
+    targets: tuple[Point, ...]
+    rows: tuple[tuple[int, ...], ...]
+
+    def admits(self, mapping: dict[Point, Point]) -> bool:
+        """Whether mapping is a special bijection: keys Y0, distinct
+        images, and every pair special."""
+        col = {q: j for j, q in enumerate(self.targets)}
+        return (set(mapping) == set(self.y0)
+                and len(set(mapping.values())) == len(mapping)
+                and all(col.get(mapping[pt]) in row
+                        for pt, row in zip(self.y0, self.rows)))
+
+
+def special_pairs(delta: TriangleSpec, p: int) -> SpecialPairs:
+    _, _, y0, _ = split_T1(delta, p)
+    targets = tuple(mirror(delta, pt) for pt in y0)
+    rows = []
+    for pt in y0:
+        diffs = ((pt[0] - q[0], pt[1] - q[1]) for q in targets)
+        rows.append(tuple(j for j, v in enumerate(diffs)
+                          if delta.in_cone(v)
+                          and delta.weight_num(v) <= delta.det))
+    return SpecialPairs(y0, targets, tuple(rows))
+
+
+class SpecialCount:
+    """The number of special bijections, and an exact uniform sampler.
+
+    An unsigned subset DP over the special-pair matrix: comp[mask] is
+    the number of ways to place rows popcount(mask).. on the columns
+    outside mask, so comp[0] is the permanent.  The table has 2^|Y0|
+    entries; more than ``budget`` raises.
+    """
+
+    def __init__(self, delta: TriangleSpec, p: int,
+                 budget: int = 2_000_000):
+        self.pairs = special_pairs(delta, p)
+        n = len(self.pairs.y0)
+        if 1 << n > budget:
+            raise EnumerationBudgetExceeded(
+                f"more than {budget} count-table entries")
+        rows = self.pairs.rows
+        comp = [0] * (1 << n)
+        comp[-1] = 1
+        for mask in range((1 << n) - 2, -1, -1):
+            comp[mask] = sum(comp[mask | 1 << j]
+                             for j in rows[mask.bit_count()]
+                             if not mask >> j & 1)
+        self.comp = comp
+        self.count = comp[0]
+        self._make = _special_maker(delta, self.pairs.y0)
+
+    def sample(self, rng: random.Random) -> SpecialBijection:
+        """A special bijection, each one with probability exactly 1/count.
+
+        Row by row, a free column j is taken with probability
+        comp[mask | 1 << j] / comp[mask]; the product telescopes.
+        """
+        comp = self.comp
+        mask = 0
+        mapping = {}
+        for pt, row in zip(self.pairs.y0, self.pairs.rows):
+            r = rng.randrange(comp[mask])
+            for j in row:
+                if mask >> j & 1:
+                    continue
+                r -= comp[mask | 1 << j]
+                if r < 0:
+                    break
+            mask |= 1 << j
+            mapping[pt] = self.pairs.targets[j]
+        return self._make(mapping)
 
 
 def special_bijections(delta: TriangleSpec, p: int,
@@ -264,7 +351,9 @@ def special_classes(delta: TriangleSpec, p: int,
     d = delta.d
     labels = label_T1prime(delta)
     label_idx = {q: i for i, q in enumerate(labels)}
-    _, t12, y0, _ = split_T1(delta, p)
+    _, t12, _, _ = split_T1(delta, p)
+    table = special_pairs(delta, p)
+    y0 = table.y0
     k = combo_denominator(delta, p)
     base = [0] * len(labels)
     base[0], base[1] = expected_vertex_exponents(delta, p)
@@ -275,16 +364,13 @@ def special_classes(delta: TriangleSpec, p: int,
     full = (1 << n) - 1
     used_labels: dict[int, int] = {}  # label index -> packed slot
     rows = []
-    for pt in y0:
+    for pt, cols in zip(y0, table.rows):
         x, y = source[pt]
         i1, i2 = (p * x) // d, (p * y) // d
         row = []
-        for j, col in enumerate(y0):
-            q = mirror(delta, col)
+        for j in cols:
+            q = table.targets[j]
             extra = (pt[0] - q[0], pt[1] - q[1])
-            if not (delta.in_cone(extra)
-                    and delta.weight_num(extra) <= delta.det):
-                continue
             lab = label_idx[extra]
             if lab < 2:
                 raise AssertionError(f"extra label {extra} is a vertex label")

@@ -10,6 +10,7 @@ give the improved polygon, whose vertices also have closed forms.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,10 +63,12 @@ def score_assignment(delta: TriangleSpec, p: int, source, target, mapping) -> As
     for i, j in enumerate(mapping):
         h += cost_term(delta, p, source[i], target[j])
         rnums.append(r_num(delta, p, source[i], target[j]))
-    h1 = Fraction((p - 1) * sum(delta.weight_num(q) for q in source), det)
+    h1 = Fraction(p * sum(delta.weight_num(q) for q in target)
+                  - sum(delta.weight_num(q) for q in source), det)
     ustar = tuple(Fraction(r, det) for r in sorted(rnums))
     h2 = Fraction(sum(rnums), det)
-    assert h == h1 + h2
+    if h != h1 + h2:
+        raise AssertionError(f"h = {h} differs from h1 + h2 = {h1 + h2}")
     return Assignment(source, target, mapping, h, h1, h2, ustar)
 
 
@@ -187,6 +190,49 @@ def minimal_h(delta: TriangleSpec, p: int, points) -> int:
     return greedy_minimal_permutation(delta, p, points).h
 
 
+def _prefix_minimal_h(delta: TriangleSpec, p: int, points) -> list[int]:
+    """minimal_h(points[:ell]) for ell = 0..len(points), from class counts.
+
+    The greedy takes pairs by their gap g = (w(P) - p*w(Q)) mod det, and
+    h = ((p-1)*sum(w) + sum of matched g)/det.  With p prime to det, a
+    gap and the source class a = w(P) mod det fix the target class b, so
+    pairs of one gap never share a source class or a target class.  Each
+    class pair (a, b) in gap order therefore matches min(free sources in
+    a, free targets in b), whatever the tie order within a gap.
+    """
+    det = delta.det
+    if det % p == 0:
+        raise ValueError("p divides det: a gap no longer fixes the target class")
+    pairs: list[tuple[int, int, int]] = []     # (g, a, b) over seen classes
+    count: dict[int, int] = {}
+    total = 0
+    out = [0]
+    for ell, q in enumerate(points, 1):
+        w = delta.weight_num(q)
+        c = w % det
+        if c not in count:
+            count[c] = 0
+            for b in count:
+                insort(pairs, ((c - p * b) % det, c, b))
+                if b != c:
+                    insort(pairs, ((b - p * c) % det, b, c))
+        count[c] += 1
+        total += w
+        src, dst = count.copy(), count.copy()
+        gaps, left = 0, ell
+        for g, a, b in pairs:
+            m = min(src[a], dst[b])
+            if m:
+                src[a] -= m
+                dst[b] -= m
+                gaps += g * m
+                left -= m
+                if not left:
+                    break
+        out.append(((p - 1) * total + gaps) // det)
+    return out
+
+
 @dataclass(frozen=True)
 class PolygonHull:
     """Lower convex hull: vertices with integer x and exact rational y."""
@@ -248,14 +294,13 @@ def ihp(delta: TriangleSpec, p: int, l_max: int) -> IhpResult:
 
     Points between the certified vertices use the weight-minimal-prefix
     rule; taking the hull afterwards keeps the certified vertices on or
-    below every computed point.
+    below every computed point.  Raises ValueError when p divides det.
     """
     ok = hypothesis_holds(delta, p)
     k = 1
     while x_count(delta, k, closed=True) < l_max:
         k += 1
     pool = enumerate_T(delta, k, closed=True)
-    ells, hs, certs = [], [], []
     vertex_ells = set()
     kk = 1
     while True:
@@ -267,12 +312,11 @@ def ihp(delta: TriangleSpec, p: int, l_max: int) -> IhpResult:
         if xpk <= l_max:
             vertex_ells.add(xpk)
         kk += 1
-    for ell in range(l_max + 1):
-        ells.append(ell)
-        hs.append(minimal_h(delta, p, pool[:ell]))
-        certs.append(ok and (ell in vertex_ells or ell <= 1))
+    ells = tuple(range(l_max + 1))
+    hs = tuple(_prefix_minimal_h(delta, p, pool[:l_max]))
+    certs = tuple(ok and (ell in vertex_ells or ell <= 1) for ell in ells)
     hull = lower_convex_hull(zip(ells, hs))
-    return IhpResult(hull, tuple(ells), tuple(hs), tuple(certs), ok)
+    return IhpResult(hull, ells, hs, certs, ok)
 
 
 def closed_form_vertices(delta: TriangleSpec, p: int, k: int,

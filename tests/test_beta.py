@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from collections import Counter
 
 import pytest
@@ -220,3 +222,15 @@ def test_maximize_beta2_rank_not_below_start():
     assert beta._count_vector(best, vseq) >= beta._count_vector(b2bar, vseq)
     assert all(beta._count_vector(best, vseq) >= beta._count_vector(m, vseq)
                for m in fam)
+
+
+def test_enumerate_related_freed_without_cyclic_collection():
+    a = beta.assemble_beta(D13, 41)
+    gc.disable()
+    try:
+        found = beta.enumerate_related(D13, 41, a.special.vectors)
+        first = weakref.ref(found[0])
+        del found
+        assert first() is None
+    finally:
+        gc.enable()

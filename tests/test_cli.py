@@ -163,28 +163,40 @@ def test_verify_outside_c0_hypothesis(tmp_path):
     assert status["c0_distribution_rows"] == "out-of-hypothesis"
 
 
-def test_verify_enumerates_special_bijections_once(tmp_path, monkeypatch):
-    calls = []
-    enumerate_all = combos.special_bijections
+def test_verify_never_enumerates_special_bijections(tmp_path, monkeypatch):
+    def enumerate_all(*_args, **_kwargs):
+        raise AssertionError("verify enumerated the special bijections")
+    monkeypatch.setattr(combos, "special_bijections", enumerate_all)
+    # (7,17) is outside the hypothesis of the beta pipeline and of K2
+    for d, p, gated, uses_count in [
+            (7, 17, {"beta_pipeline", "k2_distribution_rows"},
+             {"example_special_bijection_present",
+              "special_combo_exponent_maximality"}),
+            (5, 11, set(), {"ordinary_case_trivialities"})]:
+        out = tmp_path / f"verify-{d}-{p}.json"
+        assert run(["verify", "--d", str(d), "--p", str(p),
+                    "--json", str(out)]) == 0
+        status = {c["name"]: c["status"]
+                  for c in json.loads(out.read_text())["checks"]}
+        assert uses_count <= set(status)
+        assert status == {name: "out-of-hypothesis" if name in gated
+                          else "pass" for name in status}
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return enumerate_all(*args, **kwargs)
-    monkeypatch.setattr(combos, "special_bijections", counted)
-    out = tmp_path / "verify.json"
-    assert run(["verify", "--d", "7", "--p", "17", "--json", str(out)]) == 0
-    status = {c["name"]: c["status"]
-              for c in json.loads(out.read_text())["checks"]}
-    assert status["example_special_bijection_present"] == "pass"
-    assert status["special_combo_exponent_maximality"] == "pass"
-    assert len(calls) == 1
+
+REFUSAL_KEYS = {"schema", "command", "p", "status", "reason"}
 
 
-def test_verify_rejects_bad_config():
-    with pytest.raises(SystemExit):
-        run(["verify", "--d", "7", "--p", "15"])
-    with pytest.raises(SystemExit):
-        run(["verify", "--d", "7", "--p", "7"])
+def assert_refused(rep, command, p):
+    assert set(rep) == REFUSAL_KEYS
+    assert rep["status"] == "refused" and rep["command"] == command
+    assert rep["p"] == p
+
+
+def test_verify_rejects_bad_config(capsys):
+    # 15 is not prime, and 7 divides det = 49
+    for p in (15, 7):
+        assert run(["verify", "--d", "7", "--p", str(p)]) == 2
+        assert_refused(json.loads(capsys.readouterr().out), "verify", p)
 
 
 def test_verify_budget_refusal(tmp_path, monkeypatch):
@@ -215,9 +227,9 @@ def test_dwork_np_refusals(tmp_path, extra):
     f.write_text(json.dumps({"3,0": 1, "0,3": 2, "1,1": 3}))
     res = run_process(["dwork-np", "--d", "3", "--p", "7", "--f", str(f),
                        *extra])
-    assert res.returncode != 0
+    assert res.returncode == 2
     assert "Traceback" not in res.stderr
-    assert "dwork-np" in res.stderr
+    assert_refused(json.loads(res.stdout), "dwork-np", 7)
 
 
 def test_special_budget_refusal():
@@ -235,12 +247,17 @@ def test_leading_coeff_refusals(tmp_path, M):
     f.write_text(json.dumps({"3,0": 1, "0,3": 2, "1,1": 3}))
     res = run_process(["leading-coeff", "--d", "3", "--p", "7", "--f", str(f),
                        "--M", M])
-    assert res.returncode != 0
+    assert res.returncode == 2
     assert "Traceback" not in res.stderr
-    assert "leading-coeff" in res.stderr
+    assert_refused(json.loads(res.stdout), "leading-coeff", 7)
 
 
 GENERAL = ["--a1", "1", "--b1", "3", "--a2", "2", "--b2", "1", "--p", "11"]
+
+# --f files written for the refusal cases; missing.json is never written
+F_FILES = {"list.json": "[1, 2]", "badkey.json": '{"1;2": 3}',
+           "badval.json": '{"1,2": [3]}',
+           "floatval.json": '{"3,0": 1, "0,3": 2, "1,1": 1.5}'}
 
 
 @pytest.mark.parametrize("argv", [
@@ -251,18 +268,28 @@ GENERAL = ["--a1", "1", "--b1", "3", "--a2", "2", "--b2", "1", "--p", "11"]
     ["dwork-np", "--d", "3", "--p", "7", "--f", "missing.json"],
     ["leading-coeff", "--d", "3", "--p", "7", "--f", "missing.json"],
     ["ihp", "--d", "7", "--p", "17", "--lmax", "-1"],
+    ["dwork-np", "--d", "3", "--p", "7", "--f", "list.json"],
+    ["dwork-np", "--d", "3", "--p", "7", "--f", "badval.json"],
+    ["leading-coeff", "--d", "3", "--p", "7", "--f", "badkey.json"],
+    ["leading-coeff", "--d", "3", "--p", "7", "--f", "floatval.json"],
+    ["ihp", "--a1", "1", "--b1", "3", "--p", "11"],
+    ["gnp-vertices", "--d", "7", "--p", "15"],
+    ["hodge-h", "--d", "7", "--p", "7"],
 ], ids=["verify-general", "figure-general", "special-general",
         "beta-general", "dwork-np-missing-f", "leading-coeff-missing-f",
-        "ihp-negative-lmax"])
+        "ihp-negative-lmax", "dwork-np-f-list", "dwork-np-f-bad-value",
+        "leading-coeff-f-bad-key", "leading-coeff-f-float",
+        "ihp-missing-triangle",
+        "gnp-vertices-p-not-prime", "hodge-h-p-divides-det"])
 def test_refusals_are_json_with_exit_2(tmp_path, argv):
-    argv = [str(tmp_path / a) if a == "missing.json" else a for a in argv]
+    for name, text in F_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     res = run_process(argv)
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
-    rep = json.loads(res.stdout)
-    assert set(rep) == {"schema", "command", "p", "status", "reason"}
-    assert rep["status"] == "refused" and rep["command"] == argv[0]
-    assert rep["p"] == int(argv[argv.index("--p") + 1])
+    assert_refused(json.loads(res.stdout), argv[0],
+                   int(argv[argv.index("--p") + 1]))
 
 
 def test_verify_imports_no_scipy(tmp_path):
@@ -274,4 +301,15 @@ def test_verify_imports_no_scipy(tmp_path):
             "assert rc == 0, rc; "
             "assert 'scipy' not in sys.modules, 'scipy imported'")
     res = run_process([], python=("-c", code))
+    assert res.returncode == 0, res.stderr
+
+
+def test_score_assignment_h_is_h1_plus_h2_under_O():
+    # h1 reads the target's weights too: here source and target differ,
+    # and under -O no assert stands between a wrong h1 and the caller
+    code = ("import sys; from tpoly import hodge; "
+            "from tpoly.lattice import isosceles; "
+            "a = hodge.assignment_oracle(isosceles(7), 17, [(0, 0)], [(0, 1)]); "
+            "sys.exit(0 if not __debug__ and a.h == a.h1 + a.h2 else 1)")
+    res = run_process([], python=("-O", "-c", code))
     assert res.returncode == 0, res.stderr

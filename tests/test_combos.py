@@ -243,3 +243,67 @@ def test_optimal_combos_value_second_f():
     val = combos.optimal_combos_value(d3, 7, f, 1)
     det = dwork.det_T1(d3, f, 7, 1, 18)
     assert val == int(det[16]) % 7
+
+
+@pytest.mark.parametrize("d,p", [(5, 11), (5, 19), (7, 17), (7, 53)])
+def test_special_count_is_number_of_special_bijections(d, p):
+    delta = isosceles(d)
+    assert combos.SpecialCount(delta, p).count \
+        == len(combos.special_bijections(delta, p))
+
+
+def _sampler_probability(sc, beta):
+    """The product of the comp ratios along beta's columns."""
+    col = {q: j for j, q in enumerate(sc.pairs.targets)}
+    prob, mask = Fraction(1), 0
+    for pt in sc.pairs.y0:
+        j = col[beta.as_dict()[pt]]
+        prob *= Fraction(sc.comp[mask | 1 << j], sc.comp[mask])
+        mask |= 1 << j
+    return prob
+
+
+def test_sampler_is_exactly_uniform_7_17():
+    sc = combos.SpecialCount(D7, 17)
+    bs = combos.special_bijections(D7, 17)
+    assert sc.count == 12_096
+    assert all(_sampler_probability(sc, b) == Fraction(1, 12_096) for b in bs)
+    assert all(sc.pairs.admits(b.as_dict()) for b in bs)
+    known = {b.pairs: (b.sign, b.vectors) for b in bs}
+    rng = random.Random(0)
+    for _ in range(500):
+        s = sc.sample(rng)
+        assert known[s.pairs] == (s.sign, s.vectors)
+
+
+def test_sampler_frequencies_5_19():
+    # 426 special bijections, 14 draws each expected: a chi-square with
+    # 425 degrees of freedom has mean 425 and standard deviation 29
+    sc = combos.SpecialCount(isosceles(5), 19)
+    bs = combos.special_bijections(isosceles(5), 19)
+    rng = random.Random(1)
+    draws = 14 * len(bs)
+    seen = {b.pairs: 0 for b in bs}
+    for _ in range(draws):
+        seen[sc.sample(rng).pairs] += 1
+    assert len(seen) == len(bs) == 426
+    chi2 = sum((c - 14) ** 2 / 14 for c in seen.values())
+    assert chi2 < 425 + 6 * 29
+
+
+def test_special_pairs_reject_non_special_maps():
+    table = combos.special_pairs(D7, 17)
+    assert table.admits(EXAMPLE_BETA)
+    swapped = dict(EXAMPLE_BETA)
+    swapped[(2, 6)], swapped[(5, 3)] = swapped[(5, 3)], swapped[(2, 6)]
+    assert not table.admits(swapped)    # (2,6) - (4,2) leaves the cone
+    assert not table.admits({**EXAMPLE_BETA, (2, 6): (2, 4)})
+    assert not table.admits({k: v for k, v in EXAMPLE_BETA.items()
+                             if k != (2, 6)})
+
+
+def test_special_count_budget_is_table_size():
+    # |Y0| = 9 at (7,17): the table has 512 entries
+    assert combos.SpecialCount(D7, 17, budget=512).count == 12_096
+    with pytest.raises(combos.EnumerationBudgetExceeded):
+        combos.SpecialCount(D7, 17, budget=511)

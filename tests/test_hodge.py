@@ -317,6 +317,27 @@ def test_ihp_under_failed_hypothesis_flagged():
     assert not any(res.certified[2:])
 
 
+@pytest.mark.parametrize("delta,p", [
+    (isosceles(3), 7), (D5, 11), (D7, 17), (isosceles(9), 29),
+    (isosceles(11), 41), (D13, 41), (TRI, 11), (make_triangle(2, 5, 4, 1), 13),
+], ids=["3-7", "5-11", "7-17", "9-29", "11-41", "13-41", "1321-11",
+        "2541-13"])
+def test_ihp_prefix_h_matches_greedy(delta, p):
+    # every prefix of the closed T_1 and 20 points past it, against the
+    # point-level greedy
+    l_max = lattice.x_count(delta, 1, closed=True) + 20
+    pool = lattice.enumerate_T(delta, 3, closed=True)
+    assert l_max <= len(pool)
+    assert hodge.ihp(delta, p, l_max).h_values == tuple(
+        hodge.minimal_h(delta, p, pool[:ell]) for ell in range(l_max + 1))
+
+
+@pytest.mark.parametrize("delta,p", [(D7, 7), (TRI, 5)])
+def test_ihp_refuses_p_dividing_det(delta, p):
+    with pytest.raises(ValueError):
+        hodge.ihp(delta, p, 10)
+
+
 def test_ihp_value_matches_oracle_at_x2_d5():
     # x_2(d=5) is 55 = (2d+1)*2d/2
     x2 = hodge.closed_form_vertices(D5, 11, 2)[0]
