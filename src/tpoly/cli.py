@@ -9,6 +9,7 @@ independent of the worker count (checks are pure and keyed by name).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -25,7 +26,7 @@ SCHEMA = "tpoly/1"
 
 
 def frac_str(x) -> str:
-    f = Fraction(x)
+    f = x if isinstance(x, Fraction) else Fraction(x)
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -35,9 +36,71 @@ def _json_default(obj):
     raise TypeError(f"unserializable {type(obj)}")
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_encode_scalar = json.JSONEncoder(default=_json_default).encode
+
+
+def _dumps(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=1, default=_json_default)``.
+
+    Any ``indent`` sends ``json.dumps`` to its pure-Python generator
+    encoder.  This writes the same text into one chunk list with the
+    stdlib's C leaf encoders; an exact int goes through ``repr``, and a
+    list of nothing but exact ints (so no ``bool``) through one join.
+    Dict keys are sorted and coerced as the stdlib does, and raise its
+    ``TypeError``.  There is no circular-reference check: a cycle ends
+    in ``RecursionError`` instead of ``ValueError``.
+    """
+    chunks: list[str] = []
+    _write_json(obj, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _write_json(o, nl: str, emit) -> None:
+    """Emit o as ``_dumps`` does; nl is a newline plus the indent of the
+    line o starts on."""
+    if type(o) is int:
+        emit(repr(o))
+    elif isinstance(o, str):
+        emit(_encode_str(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            emit("[]")
+            return
+        inner = nl + " "
+        if set(map(type, o)) == {int}:
+            emit("[" + inner + ("," + inner).join(map(repr, o)) + nl + "]")
+            return
+        sep = "[" + inner
+        for v in o:
+            emit(sep)
+            sep = "," + inner
+            _write_json(v, inner, emit)
+        emit(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            emit("{}")
+            return
+        inner = nl + " "
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            if not isinstance(k, str):
+                if k is not None and not isinstance(k, (int, float)):
+                    raise TypeError("keys must be str, int, float, bool "
+                                    f"or None, not {k.__class__.__name__}")
+                k = _encode_scalar(k)
+            emit(sep + _encode_str(k) + ": ")
+            sep = "," + inner
+            _write_json(v, inner, emit)
+        emit(nl + "}")
+    elif o is None or isinstance(o, (int, float)):
+        emit(_encode_scalar(o))
+    else:
+        _write_json(_json_default(o), nl, emit)
+
+
 def dump_json(obj, path: str | None) -> str:
-    text = json.dumps(obj, sort_keys=True, indent=1, default=_json_default)
-    text += "\n"
+    text = _dumps(obj) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -207,12 +270,15 @@ def cmd_special(args) -> int:
         classes = combos.special_classes(delta, args.p, budget=args.budget)
     except combos.EnumerationBudgetExceeded as exc:
         return refuse(args, str(exc), "out-of-budget", args.emit_classes)
+    # a coefficient is sign_balance/K: format each distinct value once
+    coeff = {c.sign_balance: c.coefficient for c in classes}
+    coeff = {s: frac_str(f) for s, f in coeff.items()}
     recs = [{
-        "vector_multiset": [list(v) for v in c.vectors],
+        "vector_multiset": c.vectors,
         "size": c.size,
         "sign_balance": c.sign_balance,
-        "coefficient": frac_str(c.coefficient),
-        "exponents": list(c.exponents),
+        "coefficient": coeff[c.sign_balance],
+        "exponents": c.exponents,
     } for c in classes]
     dump_json({"schema": SCHEMA, "command": "special", "p": args.p,
                "count": sum(c.size for c in classes), "classes": recs},
@@ -523,7 +589,10 @@ def cmd_verify(args) -> int:
     return 2 if any(c["status"] == "out-of-budget" for c in report["checks"]) else 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The tpoly argument parser, built on first use and kept for the
+    process: ``parse_args`` returns a fresh namespace and leaves it as is."""
     ap = argparse.ArgumentParser(prog="tpoly", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -588,8 +657,11 @@ def main(argv=None) -> int:
     common(sp)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_verify)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except Refused as exc:

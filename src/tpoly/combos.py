@@ -248,6 +248,9 @@ def combo_from_bijection(delta: TriangleSpec, p: int,
 
     T_{1,1} points pull back through the parallelogram residue; T_{1,2}
     points route through beta, which contributes one extra generator.
+    An expansion vector has at most three nonzero entries, the two
+    vertex labels and the extra one, so the combo, exponents, degree and
+    denominator are summed over those entries only.
     """
     d = delta.d
     labels = label_T1prime(delta)
@@ -256,24 +259,22 @@ def combo_from_bijection(delta: TriangleSpec, p: int,
     beta_map = beta.as_dict()
     t1 = enumerate_T(delta, 1)
     tau_inv: dict[Point, Point] = {}
-    b_vectors: dict[Point, tuple[int, ...]] = {}
+    entries: dict[Point, dict[int, int]] = {}   # domain point -> {label: b}
     for pt in t1:
         img = ((p * pt[0]) % d, (p * pt[1]) % d)
         i1, i2 = (p * pt[0]) // d, (p * pt[1]) // d
-        vec = [0] * len(labels)
-        vec[0] = i1
-        vec[1] = i2
+        vec = {0: i1, 1: i2}
         if pt in t11:
             src = img
         else:
             src = beta_map[img]
-            extra = (img[0] - src[0], img[1] - src[1])
-            vec[label_idx[extra]] += 1
+            k = label_idx[(img[0] - src[0], img[1] - src[1])]
+            vec[k] = vec.get(k, 0) + 1
         tau_inv[pt] = src
-        b_vectors[src] = tuple(vec)
+        entries[src] = vec
         target = (p * pt[0] - src[0], p * pt[1] - src[1])
-        combo = (sum(v * q[0] for v, q in zip(vec, labels)),
-                 sum(v * q[1] for v, q in zip(vec, labels)))
+        combo = (sum(b * labels[i][0] for i, b in vec.items()),
+                 sum(b * labels[i][1] for i, b in vec.items()))
         if combo != target:
             raise AssertionError(f"combo constraint fails at {src}: {combo} != {target}")
     index = {pt: i for i, pt in enumerate(t1)}
@@ -282,16 +283,18 @@ def combo_from_bijection(delta: TriangleSpec, p: int,
                              key=lambda pr: delta.canonical_key(pr[0])))
     exps = [0] * len(labels)
     denom = 1
-    total = 0
-    for vec in b_vectors.values():
-        for i, b in enumerate(vec):
-            exps[i] += b
-            total += b
+    b_vectors: dict[Point, tuple[int, ...]] = {}
+    for src, vec in entries.items():
+        dense = [0] * len(labels)
+        for i, b in vec.items():
             if b >= p:
                 raise AssertionError("expansion entry reached p")
+            dense[i] = b
+            exps[i] += b
             denom *= math.factorial(b)
+        b_vectors[src] = tuple(dense)
     return ComboData(tau_pairs, permutation_sign(perm), b_vectors,
-                     tuple(exps), Fraction(1, denom), total)
+                     tuple(exps), Fraction(1, denom), sum(exps))
 
 
 def relatedness_classes(bijections: list[SpecialBijection]) \

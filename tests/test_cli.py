@@ -1,10 +1,13 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tpoly import beta as beta_mod
 from tpoly import cli, combos, svg
@@ -313,3 +316,149 @@ def test_score_assignment_h_is_h1_plus_h2_under_O():
             "sys.exit(0 if not __debug__ and a.h == a.h1 + a.h2 else 1)")
     res = run_process([], python=("-O", "-c", code))
     assert res.returncode == 0, res.stderr
+
+
+# -- the report writer against json.dumps ------------------------------
+
+
+def _stdlib_dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=1, default=cli._json_default)
+
+
+def _outcome(dumps, obj):
+    try:
+        return dumps(obj)
+    except TypeError as exc:
+        return TypeError, str(exc)
+
+
+class Opaque:
+    """A value neither json nor _json_default can write."""
+
+
+ESCAPES = '"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(-10 ** 900, 10 ** 900),
+    st.floats(allow_nan=True, allow_infinity=True), st.just(-0.0),
+    st.text(), st.text(alphabet=ESCAPES), st.fractions(),
+    st.builds(Opaque), st.complex_numbers(max_magnitude=1e3))
+int_keys = st.one_of(st.integers(), st.booleans(), st.floats())
+json_values = st.recursive(scalars, lambda kids: st.one_of(
+    st.lists(kids), st.lists(kids).map(tuple),
+    st.lists(st.one_of(st.integers(), st.booleans())),
+    st.dictionaries(st.text(alphabet=ESCAPES + "ab"), kids),
+    st.dictionaries(int_keys, kids),
+    st.dictionaries(st.one_of(st.none(), st.text(max_size=1)), kids,
+                    max_size=2)), max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values)
+@example({"a": [1, True, 2], "b": [], "c": {}, "d": (), "e": -10 ** 30})
+@example([[1, 2], (3, -4), [False], [0, 1.5], [Fraction(-1, 3)]])
+@example({True: 2, 2: 3, -1: None, 2.5: [float("nan"), float("-inf")]})
+@example({None: {float("inf"): -0.0}})
+@example({"x": [1, 2, Opaque()]})
+@example({1: "one", "1": "string one"})     # keys the sort cannot order
+def test_dumps_is_stdlib_layout(obj):
+    assert _outcome(cli._dumps, obj) == _outcome(_stdlib_dumps, obj)
+
+
+def test_dumps_bool_in_int_list_and_list_indent():
+    # a bool among ints takes the general path and stays "true"; ints in
+    # a nested list sit one space deeper than the list's own line
+    assert cli._dumps({"v": [1, True]}) == '{\n "v": [\n  1,\n  true\n ]\n}'
+    assert cli._dumps([[7, 8]]) == "[\n [\n  7,\n  8\n ]\n]"
+
+
+def test_dumps_leaves_no_garbage_cycle():
+    # a writer that closes over itself keeps every chunk alive until a
+    # cyclic collection, which raised peak RSS over repeated reports
+    payload = {"classes": [{"v": [[1, 2], [3, 4]], "c": "1/2"}] * 50}
+    gc.collect()
+    gc.disable()
+    try:
+        cli._dumps(payload)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _captured_payloads(monkeypatch, argv_list):
+    """The objects each cli.main call hands to the writer."""
+    seen = []
+    dumps = cli._dumps
+
+    def record(obj):
+        seen.append(obj)
+        return dumps(obj)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_dumps", record)
+        for argv in argv_list:
+            cli.main(argv)
+    return seen
+
+
+def test_dumps_matches_stdlib_on_every_command(tmp_path, monkeypatch, capsys):
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"3,0": 1, "0,3": 2, "1,1": 3}))
+    a = ["--d", "7", "--p", "17"]
+    argv_list = [
+        ["ihp", *a], ["gnp-vertices", *a], ["hodge-h", *a, "--k", "2"],
+        ["dwork-np", "--d", "3", "--p", "7", "--f", str(f), "--tprec", "18",
+         "--lmax", "6"],
+        ["leading-coeff", "--d", "3", "--p", "7", "--f", str(f)],
+        ["special", "--d", "5", "--p", "19"],
+        ["beta", "--d", "13", "--p", "41"], ["beta", *a],
+        ["verify", *a],
+        ["ihp", "--d", "7", "--p", "15"],   # a refusal record
+    ]
+    seen = _captured_payloads(monkeypatch, argv_list)
+    capsys.readouterr()
+    assert [obj["command"] for obj in seen] == [v[0] for v in argv_list]
+    assert seen[-1]["status"] == "refused"
+    for obj in seen:
+        assert cli._dumps(obj) == _stdlib_dumps(obj)
+
+
+# -- one parser per process ----------------------------------------------
+
+
+def test_cached_parser_keeps_no_state(tmp_path, capsys):
+    a = ["--d", "7", "--p", "17"]
+    assert run(["verify", *a, "--seed", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 5
+    assert run(["verify", *a]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 0
+
+    out = tmp_path / "cls.json"
+    b = ["--d", "5", "--p", "19"]
+    assert run(["special", *b, "--emit-classes", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert run(["special", *b]) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+    assert run(["ihp", *a, "--lmax", "5"]) == 0
+    short = json.loads(capsys.readouterr().out)
+    assert run(["ihp", *a]) == 0
+    default = capsys.readouterr().out
+    assert run(["ihp", *a, "--lmax", "40"]) == 0
+    assert default == capsys.readouterr().out
+    assert len(json.loads(default)["h_values"]) > len(short["h_values"])
+
+
+def test_import_builds_no_parser():
+    code = ("from tpoly import cli; "
+            "assert cli._parser.cache_info().currsize == 0, 'built at import'")
+    res = run_process([], python=("-c", code))
+    assert res.returncode == 0, res.stderr
+
+
+def test_emit_classes_and_stdout_write_the_same_bytes(tmp_path, capsys):
+    out = tmp_path / "cls.json"
+    a = ["special", "--d", "7", "--p", "17"]
+    assert run([*a, "--emit-classes", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert run(a) == 0
+    assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")

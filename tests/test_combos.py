@@ -115,6 +115,68 @@ def test_combo_degree_and_signs():
         assert data.exponents[0] == exp1 and data.exponents[1] == exp2
 
 
+def _dense_combo_from_bijection(delta, p, beta):
+    """combo_from_bijection as it was written over dense expansion
+    vectors, one 36-term sum per coordinate and a factorial per entry."""
+    d = delta.d
+    labels = combos.label_T1prime(delta)
+    label_idx = {q: i for i, q in enumerate(labels)}
+    t11, t12, _, _ = lattice.split_T1(delta, p)
+    beta_map = beta.as_dict()
+    t1 = lattice.enumerate_T(delta, 1)
+    tau_inv = {}
+    b_vectors = {}
+    for pt in t1:
+        img = ((p * pt[0]) % d, (p * pt[1]) % d)
+        i1, i2 = (p * pt[0]) // d, (p * pt[1]) // d
+        vec = [0] * len(labels)
+        vec[0] = i1
+        vec[1] = i2
+        if pt in t11:
+            src = img
+        else:
+            src = beta_map[img]
+            extra = (img[0] - src[0], img[1] - src[1])
+            vec[label_idx[extra]] += 1
+        tau_inv[pt] = src
+        b_vectors[src] = tuple(vec)
+        target = (p * pt[0] - src[0], p * pt[1] - src[1])
+        combo = (sum(v * q[0] for v, q in zip(vec, labels)),
+                 sum(v * q[1] for v, q in zip(vec, labels)))
+        if combo != target:
+            raise AssertionError("combo constraint fails")
+    index = {pt: i for i, pt in enumerate(t1)}
+    perm = [index[tau_inv[pt]] for pt in t1]
+    tau_pairs = tuple(sorted(((src, pt) for pt, src in tau_inv.items()),
+                             key=lambda pr: delta.canonical_key(pr[0])))
+    exps = [0] * len(labels)
+    denom = 1
+    total = 0
+    for vec in b_vectors.values():
+        for i, b in enumerate(vec):
+            exps[i] += b
+            total += b
+            if b >= p:
+                raise AssertionError("expansion entry reached p")
+            denom *= math.factorial(b)
+    return combos.ComboData(tau_pairs, combos.permutation_sign(perm),
+                            b_vectors, tuple(exps), Fraction(1, denom), total)
+
+
+def test_sparse_combo_matches_dense_reference():
+    # every special bijection at (5,19), and 500 seeded draws at (7,17)
+    d5 = isosceles(5)
+    cases = [(d5, 19, b) for b in combos.special_bijections(d5, 19)]
+    assert len(cases) == 426
+    sc = combos.SpecialCount(D7, 17)
+    rng = random.Random(4)
+    cases += [(D7, 17, sc.sample(rng)) for _ in range(500)]
+    for delta, p, b in cases:
+        data = combos.combo_from_bijection(delta, p, b)
+        # equal b_vectors: full-length tuples, zeros included
+        assert data == _dense_combo_from_bijection(delta, p, b)
+
+
 def test_v_special_ordinary_single_term():
     d5 = isosceles(5)
     vs = combos.v_special(d5, 11)
