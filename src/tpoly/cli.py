@@ -233,6 +233,7 @@ def cmd_dwork_np(args) -> int:
                        for ell in range(len(cs.u))},
         "certified": certified,
         "flagged_at_least_N": flagged,
+        "precision": cs.prec,
         "vertices": [[x, frac_str(y)] for x, y in hull.vertices],
     }
     dump_json(payload, args.json)

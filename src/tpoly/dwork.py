@@ -3,30 +3,37 @@
 dwork_operator builds the operator from F_p residues: Teichmueller
 lifts, the product expansion of E_f into series e_P with
 v_T(e_P) >= ceil(w(P)), and the windowed matrix of entries e_{pQ-P}.
-The expansion holds the e_P as one stacked array and takes one batched
-step per support monomial Q and power j.  Over F_{p^n}, n > 1, the same
-steps run on Z_q coordinates, and products go through poly_matmul by
-the regular representation.  _twisted_traces gives the trace power sums
-for every n: it forms only the powers A^i, i <= ceil(L/2), each as
-A A^(i-1) so that the row-sparse operator is the left factor, and pairs
-them, tr(A^(2i-1)) = tr(A^i A^(i-1)) and tr(A^(2i)) = tr(A^i A^i), each
-an entrywise product summed over the matrix with a T-convolution.
+The expansion works in powers of pi, not of T: each e_P is
+sum_s c_(P,s) pi^s with scalar c (coordinate vectors over F_{p^n}), the
+c of all points are one stacked array, and each support monomial Q and
+power j takes one batched step, a multiply by E_j a_Q^j and a shift by
+jQ and j.  One product with the rows pi^s mod T^N turns the c into
+T-series at the end.  Over F_{p^n}, n > 1, the same steps run on Z_q
+coordinates, and products go through poly_matmul by the regular
+representation.  _twisted_traces gives the trace power sums for every
+n: it forms only the powers A^i, i <= ceil(L/2), each as A A^(i-1) so
+that the row-sparse operator is the left factor, and pairs them,
+tr(A^(2i-1)) = tr(A^i A^(i-1)) and tr(A^(2i)) = tr(A^i A^i), each an
+entrywise product summed over the matrix with a T-convolution.
 Newton's identities (at an elevated p-power precision, so the divisions
 by l are exact) give u_l, and the T-adic Newton polygon is the lower
 hull of (l, v_T(u_l)/n).  Points outside the window contribute only
 beyond T^N.
 
-Exactness: products run in float64 BLAS on entries reduced mod p^m, and
-every sum is reduced before it could pass 2^53, so each is an exact
-integer and u_l equals the pure integer computation bit for bit.  The
-guard p^(2m) * inner-dim < 2^53, one T-slice's worth, refuses the rest.
+Exactness: the expansion runs in int64, where SeriesRing's guard
+p^(2m) N < 2^62 bounds every sum.  Products run in float64 BLAS on
+entries reduced mod p^m, and every sum is reduced before it could pass
+2^53, so each is an exact integer and u_l equals the pure integer
+computation bit for bit.  The guard p^(2m) * inner-dim < 2^53, one
+T-slice's worth, refuses the rest.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -78,35 +85,26 @@ def validate_support(delta: TriangleSpec, f_hat: dict[Point, int], p: int):
             raise HullMismatchError(f"vertex coefficient at {vertex} vanishes mod p")
 
 
-def _series_toeplitz(s: np.ndarray) -> np.ndarray:
-    """The N x N matrix S with x @ S = x * s mod T^N for a row vector x."""
-    N = len(s)
-    shift = np.arange(N)[None, :] - np.arange(N)[:, None]
-    return np.where(shift >= 0, s[np.maximum(shift, 0)], 0)
-
-
 def _expand_stacked(delta: TriangleSpec, a_mats: dict[Point, np.ndarray],
                     one: np.ndarray, ring: SeriesRing,
                     w_cap: int) -> dict[Point, np.ndarray]:
     """prod E(a_Q pi x^Q) with coefficients acting as n x n matrices.
 
-    The e_P are one stacked (#points, n, N) array.  For each support
-    point Q and each j, the points with w(P) + j w(Q) <= w_cap take one
-    batched step: the coefficient matrix E_j a_Q^j, then the Toeplitz
-    matrix of pi^j; the products are scatter-added at P + jQ through a
-    scalar point key, linear in the point.
+    Each e_P is sum_s c_(P,s) pi^s, s < N, as pi^s = O(T^s); the c of
+    all points are one (#points, n, N) array over pi-degree.  For each
+    support point Q and each j, the points with w(P) + j w(Q) <= w_cap
+    take one batched step: times E_j a_Q^j (a scalar for n = 1), then a
+    scatter-add at P + jQ, pi-degree s + j, through a scalar point key,
+    linear in the point.  One int64 product with the rows pi^s mod T^N
+    gives the T-series; SeriesRing's guard m^2 N < 2^62 keeps it exact.
     """
     m = ring.modulus
     E = artin_hasse(ring)
-    pi = pi_of_T(ring)
-    cap_num = w_cap * delta.det
-    pi_toep = [_series_toeplitz(ring.one())]
-    for _ in range(ring.N - 1):
-        pi_toep.append(pi_toep[-1] @ _series_toeplitz(pi) % m)
     # every coordinate of a point of weight <= w_cap lies in [-span, span]
     span = w_cap * max(abs(delta.a1), abs(delta.b1), abs(delta.a2), abs(delta.b2))
     base = 2 * span + 1
     wvec = np.array([delta.wx, delta.wy])
+    cap_num = w_cap * delta.det
     pts = np.zeros((1, 2), dtype=np.int64)
     vals = one[None]
     for q in sorted(a_mats, key=delta.canonical_key):
@@ -118,25 +116,32 @@ def _expand_stacked(delta: TriangleSpec, a_mats: dict[Point, np.ndarray],
         for j in range(ring.N):
             if j * wq > cap_num:
                 break
-            sel = np.flatnonzero(wts + j * wq <= cap_num)
-            # pi^j = O(T^j): only T^(<N-j) of the input reaches T^(<N)
-            part = vals[sel, :, : ring.N - j]
+            # points are in weight order: those that stay under the cap
+            # are a prefix; pi-degrees past N - 1 - j leave the truncation
+            part = vals[: np.searchsorted(wts, cap_num - j * wq, 'right'),
+                        :, : ring.N - j]
             if j:
-                part = np.einsum('cd,pdt->pct', int(E[j]) * apow % m, part) % m
-                part = part @ pi_toep[j][: ring.N - j, j:] % m
-            steps.append((keys[sel] + j * (q[0] * base + q[1]), j, part))
+                coef = int(E[j]) * apow % m
+                # n = 1: a sum of at most N products below m^2, reduced below
+                part = (part * int(coef[0, 0]) if len(one) == 1 else
+                        np.einsum('cd,pdt->pct', coef, part) % m)
+            steps.append((keys[: len(part)] + j * (q[0] * base + q[1]), j, part))
             apow = a_mats[q] @ apow % m
-        uniq, inv = np.unique(np.concatenate([k for k, _, _ in steps]),
-                              return_inverse=True)
+        # np.unique's hashing is slower than one sort at these sizes
+        uniq = np.sort(np.concatenate([k for k, _, _ in steps]))
+        uniq = uniq[np.concatenate(([True], uniq[1:] != uniq[:-1]))]
         vals = np.zeros((len(uniq),) + one.shape, dtype=np.int64)
-        start = 0
         for k, j, part in steps:
             # the targets of one j are distinct, so += adds each once
-            vals[inv[start:start + len(k)], :, j:] += part
-            start += len(k)
+            vals[np.searchsorted(uniq, k), :, j:] += part
         vals %= m
         pts = np.stack([uniq // base - span, uniq % base - span], axis=1)
-    return dict(zip(map(tuple, pts.tolist()), vals))
+        order = np.argsort(pts @ wvec, kind='stable')
+        pts, vals = pts[order], vals[order]
+    pi, pi_pows = pi_of_T(ring), [ring.one()]
+    for _ in range(ring.N - 1):
+        pi_pows.append(ring.mul(pi_pows[-1], pi))
+    return dict(zip(map(tuple, pts.tolist()), vals @ np.array(pi_pows) % m))
 
 
 def expand_Ef(delta: TriangleSpec, f_hat: dict[Point, int], ring: SeriesRing,
@@ -166,15 +171,25 @@ def assert_valuation_bounds(delta: TriangleSpec, ring: SeriesRing,
 def dwork_matrix(delta: TriangleSpec, ring: SeriesRing,
                  e_map: dict[Point, np.ndarray],
                  window: list[Point], p: int) -> np.ndarray:
-    """int64 array (n, n, *e.shape): entry[i, j] = e_{p*W[i] - W[j]}."""
-    n = len(window)
-    mat = np.zeros((n, n) + e_map[(0, 0)].shape, dtype=np.int64)
-    for i, q in enumerate(window):
-        for j, pt in enumerate(window):
-            r = (p * q[0] - pt[0], p * q[1] - pt[1])
-            s = e_map.get(r)
-            if s is not None:
-                mat[i, j, :] = s
+    """int64 array (n, n, *e.shape): entry[i, j] = e_{p*W[i] - W[j]}.
+
+    One gather: the points p*W[i] - W[j] are looked up among the sorted
+    scalar keys of e_map.
+    """
+    pts = np.fromiter(chain.from_iterable(e_map), np.int64, 2 * len(e_map))
+    pts = pts.reshape(-1, 2)
+    win = np.array(window, dtype=np.int64)
+    want = p * win[:, None] - win[None, :]
+    lo = min(pts.min(), want.min())
+    base = max(pts.max(), want.max()) - lo + 1
+    keys = (pts[:, 0] - lo) * base + pts[:, 1] - lo
+    want = (want[..., 0] - lo) * base + want[..., 1] - lo
+    order = np.argsort(keys)
+    idx = order[np.searchsorted(keys, want, sorter=order).clip(max=len(keys) - 1)]
+    hit = keys[idx] == want
+    vals = np.array(list(e_map.values()))
+    mat = np.zeros(want.shape + vals.shape[1:], dtype=np.int64)
+    mat[hit] = vals[idx[hit]]
     return mat
 
 
@@ -209,8 +224,8 @@ def poly_matmul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
         prod = slices[t1, rows] @ bt[:, : (N - t1) * n]
         acc[rows, t1:] += prod.reshape(len(rows), N - t1, n)
         bound += step
-    return np.remainder(acc, modulus).transpose(0, 2, 1).astype(np.int64,
-                                                                  order='C')
+    out = acc.transpose(0, 2, 1).astype(np.int64, order='C')  # exact, < 2^53
+    return np.remainder(out, modulus, out=out)
 
 
 def poly_trace(a: np.ndarray, modulus: int) -> np.ndarray:
@@ -236,13 +251,19 @@ def _vp(n: int, p: int) -> int:
 
 @dataclass
 class CharSeries:
-    """Coefficients u_0..u_L of det(I - s psi^n), each mod (p^M, T^N)."""
+    """Coefficients u_0..u_L of det(I - s psi^n), each mod (p^M, T^N).
+
+    prec[l] is the p-adic precision Newton's identities kept for u_l
+    before its reduction to p^M: m_work - v_p(l!), where m_work = M +
+    v_p(L!) is the working precision.
+    """
 
     p: int
     M: int
     N: int
     n: int
     u: list[np.ndarray]
+    prec: list[int] = field(default_factory=list)
 
     def valuation(self, ell: int) -> int | None:
         nz = np.nonzero(self.u[ell] % self.p ** self.M)[0]
@@ -292,7 +313,7 @@ def char_series(delta: TriangleSpec, f_hat_residues: dict[Point, int], p: int,
         if ell % 2 == 1:
             coeff = (-coeff) % pm
         u.append(coeff.astype(np.int64))
-    return CharSeries(p, M, N, n, u)
+    return CharSeries(p, M, N, n, u, prec)
 
 
 # -- Z_q coefficients in the regular representation --------------------

@@ -54,6 +54,17 @@ def test_dwork_np_command(tmp_path):
     data = json.loads(out.read_text())
     assert data["valuations"]["0"] == 0
     assert data["valuations"]["6"] == 16
+    assert data["precision"] == [2] * 7
+
+
+def test_dwork_np_reports_precision(tmp_path):
+    # v_7(8!) = 1: u_0..u_6 keep M + 1 digits, the division by 7 drops one
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"3,0": 1, "0,3": 2, "1,1": 3}))
+    out = tmp_path / "np.json"
+    assert run(["dwork-np", "--d", "3", "--p", "7", "--f", str(f),
+                "--tprec", "10", "--lmax", "8", "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["precision"] == [3] * 7 + [2] * 2
 
 
 def test_leading_coeff_command(tmp_path):

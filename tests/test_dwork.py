@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from tpoly import dwork, hodge, lattice
 from tpoly.dwork import SeriesRing
-from tpoly.lattice import isosceles
+from tpoly.lattice import isosceles, make_triangle
 
 D2 = isosceles(2)
 D3 = isosceles(3)
@@ -77,6 +78,18 @@ def test_u1_matches_direct_trace_expansion():
             total = ring.add(total, e_map[r])
     cs = dwork.char_series(D3, F3, p, M, N, 1)
     assert cs.valuation(1) == ring.valuation(total)
+
+
+def test_char_series_precision_bookkeeping():
+    # v_3(9!) = 4: the work runs at M + 4 and each division by 3 drops it
+    M, L = 2, 9
+    cs = dwork.char_series(D2, F2, 3, M, 10, L)
+    prec = cs.prec
+    assert len(prec) == L + 1 and prec[0] == M + 4
+    assert all(a >= b for a, b in zip(prec, prec[1:]))
+    assert min(prec) >= M
+    assert prec == [M + 4 - dwork._vp(math.factorial(ell), 3) for ell in range(L + 1)]
+    assert dwork.CharSeries(3, M, 10, 1, cs.u).prec == []
 
 
 def test_newton_polygon_flags():
@@ -173,7 +186,6 @@ def test_window_stability_of_valuations():
 
 def test_binomial_row():
     row = dwork.binomial_row(10, 6, 7, 2)
-    import math
     for j in range(6):
         assert row[j] == math.comb(10, j) % 49
 
@@ -394,3 +406,147 @@ def test_char_series_near_the_guard_matches_power_loop(monkeypatch):
     args = (D3, F3, 7, 8, 12, 4)
     _same_u(dwork.char_series(*args),
             _power_loop_char_series(monkeypatch, *args))
+
+
+# -- the pi-degree expansion and the gathered matrix -------------------
+
+
+def test_expand_Ef_exact_past_float64():
+    # m^2 N is under SeriesRing's 2^62 guard, but a single product m^2
+    # passes 2^53: the pi -> T conversion must be an exact int64 product.
+    # (At M = 9 the sums of a float64 product stay under 2^53 here.)
+    ring = SeriesRing(7, 10, 14)
+    assert 2 ** 53 < ring.modulus ** 2 and ring.modulus ** 2 * ring.N < 2 ** 62
+    lifted = _lift(F3, 7, 10)
+    _same_map(dwork.expand_Ef(D3, lifted, ring, 8),
+              _ref_expand_Ef(D3, lifted, ring, 8))
+
+
+TRI = make_triangle(1, 3, 2, 1)
+# the closed triangle's support but the origin; (1, 2) carries a zero
+F_TRI = {(1, 3): 2, (2, 1): 5, (1, 1): 3, (1, 2): 0}
+
+
+def test_expand_Ef_non_isosceles():
+    ring = SeriesRing(7, 2, 12)
+    lifted = _lift(F_TRI, 7, 2)
+    got = dwork.expand_Ef(TRI, lifted, ring, 6)
+    _same_map(got, _ref_expand_Ef(TRI, lifted, ring, 6))
+    # only (1, 2) itself reaches (1, 2), and its coefficient is 0
+    assert not got[(1, 2)].any()
+
+
+def test_char_series_non_isosceles_matches_power_loop(monkeypatch):
+    args = (TRI, F_TRI, 7, 2, 12, 6)
+    _same_u(dwork.char_series(*args),
+            _power_loop_char_series(monkeypatch, *args))
+
+
+def _series_toeplitz(s):
+    """The N x N matrix S with x @ S = x * s mod T^N for a row vector x."""
+    N = len(s)
+    shift = np.arange(N)[None, :] - np.arange(N)[:, None]
+    return np.where(shift >= 0, s[np.maximum(shift, 0)], 0)
+
+
+def _toeplitz_expand_stacked(delta, a_mats, one, ring, w_cap):
+    """The T-series form of dwork._expand_stacked: every (Q, j) step
+    multiplies by pi^j as a Toeplitz product."""
+    m = ring.modulus
+    E = dwork.artin_hasse(ring)
+    pi = dwork.pi_of_T(ring)
+    cap_num = w_cap * delta.det
+    pi_toep = [_series_toeplitz(ring.one())]
+    for _ in range(ring.N - 1):
+        pi_toep.append(pi_toep[-1] @ _series_toeplitz(pi) % m)
+    span = w_cap * max(abs(delta.a1), abs(delta.b1), abs(delta.a2), abs(delta.b2))
+    base = 2 * span + 1
+    wvec = np.array([delta.wx, delta.wy])
+    pts = np.zeros((1, 2), dtype=np.int64)
+    vals = one[None]
+    for q in sorted(a_mats, key=delta.canonical_key):
+        wq = delta.weight_num(q)
+        apow = np.eye(len(one), dtype=np.int64)
+        keys = (pts[:, 0] + span) * base + pts[:, 1] + span
+        wts = pts @ wvec
+        steps = []
+        for j in range(ring.N):
+            if j * wq > cap_num:
+                break
+            sel = np.flatnonzero(wts + j * wq <= cap_num)
+            part = vals[sel, :, : ring.N - j]
+            if j:
+                part = np.einsum('cd,pdt->pct', int(E[j]) * apow % m, part) % m
+                part = part @ pi_toep[j][: ring.N - j, j:] % m
+            steps.append((keys[sel] + j * (q[0] * base + q[1]), j, part))
+            apow = a_mats[q] @ apow % m
+        uniq, inv = np.unique(np.concatenate([k for k, _, _ in steps]),
+                              return_inverse=True)
+        vals = np.zeros((len(uniq),) + one.shape, dtype=np.int64)
+        start = 0
+        for k, j, part in steps:
+            vals[inv[start:start + len(k)], :, j:] += part
+            start += len(k)
+        vals %= m
+        pts = np.stack([uniq // base - span, uniq % base - span], axis=1)
+    return dict(zip(map(tuple, pts.tolist()), vals))
+
+
+def test_expand_stacked_matches_toeplitz_form_np_window():
+    # the np-window benchmark's shape: d=3, p=7, N=20 at the working
+    # precision 2 + v_7(21!) = 5, the closed unit triangle's support
+    ring = SeriesRing(7, 5, 20)
+    support = [(x, y) for x in range(4) for y in range(4 - x) if (x, y) != (0, 0)]
+    for seed in range(20):
+        rng = random.Random(seed)
+        f = {q: rng.randrange(1, 7) for q in support}
+        for q in rng.sample([(1, 0), (0, 1), (2, 1), (1, 1), (0, 2)], seed % 3):
+            f[q] = 0
+        a_mats = {q: np.array([[a]], dtype=np.int64)
+                  for q, a in _lift(f, 7, 5).items()}
+        args = (D3, a_mats, ring.one()[None], ring, ring.N)
+        _same_map(dwork._expand_stacked(*args), _toeplitz_expand_stacked(*args))
+
+
+def test_expand_stacked_matches_toeplitz_form_f49():
+    ring = SeriesRing(7, 2, 14)
+    Rq, mult = _f49_setup(2)
+    a_mats = {q: np.tensordot(np.array(Rq.teichmueller(c), dtype=np.int64),
+                              mult, 1) % ring.modulus
+              for q, c in F49.items()}
+    args = (D2, a_mats, np.outer(mult[0][:, 0], ring.one()), ring, ring.N)
+    want = _toeplitz_expand_stacked(*args)
+    _same_map(dwork._expand_stacked(*args), want)
+    assert any(s[1].any() for s in want.values())
+
+
+def _ref_dwork_matrix(e_map, window, p):
+    """One dict lookup per entry of the window matrix."""
+    n = len(window)
+    mat = np.zeros((n, n) + e_map[(0, 0)].shape, dtype=np.int64)
+    for i, q in enumerate(window):
+        for j, pt in enumerate(window):
+            s = e_map.get((p * q[0] - pt[0], p * q[1] - pt[1]))
+            if s is not None:
+                mat[i, j] = s
+    return mat
+
+
+@pytest.mark.parametrize("case", ["d3", "tri", "f49"])
+def test_dwork_matrix_matches_lookup_loop(case):
+    p, N = 7, 14
+    ring = SeriesRing(p, 2, N)
+    if case == "f49":
+        delta = D2
+        Rq, mult = _f49_setup(2)
+        e_map = dwork._expand_Ef_zq(
+            D2, {q: np.array(Rq.teichmueller(c), dtype=np.int64)
+                 for q, c in F49.items()}, mult, ring, N)
+    else:
+        delta, f = (D3, F3) if case == "d3" else (TRI, F_TRI)
+        e_map = dwork.expand_Ef(delta, _lift(f, p, 2), ring, N)
+    window = dwork.window_points(delta, p, N)
+    got = dwork.dwork_matrix(delta, ring, e_map, window, p)
+    want = _ref_dwork_matrix(e_map, window, p)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert (got == want).all() and want.any()
