@@ -15,14 +15,17 @@ validation of the assembled bijection.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lattice import (Point, TriangleSpec, antidiag_index, diag_index,
                       mirror, split_T1)
 from .combos import (EnumerationBudgetExceeded, SpecialBijection, _d1_d0_d2,
-                     _special_maker, combo_denominator, k2_region)
+                     _special_maker, combo_denominator, k2_region,
+                     special_classes)
 
 
 class BetaHypothesisError(RuntimeError):
@@ -130,8 +133,8 @@ def choose_u(d: int, p: int) -> dict:
         return {"p0": p0, "u": 0.5, "h_d0": None, "h_d2": None, "case": "trivial",
                 "G": 0.5}
     _, d0, d2 = _d1_d0_d2(d, p0)
-    h_d0 = math.log(max(p0 - d0, 1), p0) if p0 > 1 else 0.0
-    h_d2 = math.log(max(p0 - d2, 1), p0) if p0 > 1 else 0.0
+    h_d0 = math.log(max(p0 - d0, 1), p0)
+    h_d2 = math.log(max(p0 - d2, 1), p0)
     h = h_d2
     if h >= 0.25:
         u, case = 0.5, "balanced"
@@ -244,6 +247,11 @@ def _vec(a: Point, b: Point) -> Point:
     return (a[0] - b[0], a[1] - b[1])
 
 
+def _reflected(src: Point, q: Point) -> Point:
+    """Target of the arrow from src whose vector is src - q reflected."""
+    return (src[0] - src[1] + q[1], src[1] - src[0] + q[0])
+
+
 def _in_unit_triangle(delta: TriangleSpec, v: Point) -> bool:
     return v[0] >= 0 and v[1] >= 0 and delta.weight_num(v) <= delta.det
 
@@ -291,7 +299,6 @@ def _completions(delta: TriangleSpec, p: int, fixed: dict[Point, Point],
                  dom_rest: list[Point], ran_rest: list[Point],
                  required: dict[Point, int] | None, budget: int):
     """Generator over symmetric special completions (may raise on budget)."""
-    d = delta.d
     dom_rest = delta.sort_points(dom_rest)
     dom_set = set(dom_rest)
     ran_set = set(ran_rest)
@@ -321,7 +328,8 @@ def _completions(delta: TriangleSpec, p: int, fixed: dict[Point, Point],
         nonlocal steps
         steps += 1
         if steps > budget:
-            raise BetaConstructionError("completion search budget exceeded")
+            raise EnumerationBudgetExceeded(
+                f"more than {budget} completion search steps")
         while i < n and dom_rest[i] in assigned:
             i += 1
         if i == n:
@@ -376,6 +384,44 @@ def _completions(delta: TriangleSpec, p: int, fixed: dict[Point, Point],
     yield from rec(0)
 
 
+def _closure_completions(delta: TriangleSpec, p: int,
+                         beta1: dict[Point, Point], beta2: dict[Point, Point],
+                         counts: dict[Point, int] | None, budget: int):
+    """Generator over (closure, completion, full map) for beta1 and beta2.
+
+    The mirror closure sends m(beta2(P)) to m(P).  Since Y0 = L1 + L2 + L3,
+    beta2's domain is all of L2 and m maps m(Y0) onto Y0, a closure
+    source outside beta1 and beta2 lies in L3.  Nothing is yielded when a
+    closure source is already mapped or the merged map is not injective;
+    with ``counts``, nor when its vectors exceed them, and the completion
+    then uses exactly what is left.  Past ``budget`` search steps raises
+    ``EnumerationBudgetExceeded``.
+    """
+    closure: dict[Point, Point] = {}
+    for src, q in beta2.items():
+        mq = mirror(delta, q)
+        if mq in beta1 or mq in beta2 or mq in closure:
+            return
+        closure[mq] = mirror(delta, src)
+    fixed = {**beta1, **beta2, **closure}
+    ran_used = set(fixed.values())
+    if len(ran_used) != len(fixed):
+        return
+    if counts is not None:
+        counts = dict(counts)
+        for src, q in fixed.items():
+            v = _vec(src, q)
+            if counts.get(v, 0) <= 0:
+                return
+            counts[v] -= 1
+    _, _, y0, my0 = split_T1(delta, p)
+    for comp in _completions(delta, p, fixed,
+                             [pt for pt in y0 if pt not in fixed],
+                             [q for q in my0 if q not in ran_used],
+                             counts, budget):
+        yield closure, comp, {**fixed, **comp}
+
+
 @dataclass
 class BetaAssembly:
     delta: TriangleSpec
@@ -389,16 +435,16 @@ class BetaAssembly:
     beta: dict[Point, Point]
     special: SpecialBijection
     k_formula: int
-    k_exponent: int
     sign: int
     bookkeeping: dict = field(default_factory=dict)
+    toggles: list[Point] = field(default_factory=list)  # valid_toggles(self)
+
+    @property
+    def k_exponent(self) -> int:
+        return len(self.toggles)
 
     def vector_multiset(self) -> dict[Point, int]:
-        out: dict[Point, int] = {}
-        for src, q in self.beta.items():
-            v = _vec(src, q)
-            out[v] = out.get(v, 0) + 1
-        return out
+        return Counter(_vec(src, q) for src, q in self.beta.items())
 
 
 def _count_vector(beta2: dict[Point, Point], vseq: list[Point]) -> tuple[int, ...]:
@@ -408,18 +454,6 @@ def _count_vector(beta2: dict[Point, Point], vseq: list[Point]) -> tuple[int, ..
         counts.append(sum(1 for src, q in beta2.items()
                           if _vec(src, q) in (v, vd)))
     return tuple(counts)
-
-
-def build_beta2(delta: TriangleSpec, p: int, budget: int = 400_000):
-    """Stage-2 arrows with their bookkeeping, from a full assembly run.
-
-    The schedule is contract-driven (disjoint K2 copies, closure
-    feasibility, completion existence), so stage 2 is selected jointly
-    with the final validation; this wrapper surfaces the chosen arrows
-    and the shift bookkeeping.
-    """
-    a = assemble_beta(delta, p, budget)
-    return a.beta2bar, a.bookkeeping
 
 
 def exchange_family(delta: TriangleSpec, p: int,
@@ -460,6 +494,18 @@ def exchange_family(delta: TriangleSpec, p: int,
     return vseq, family
 
 
+def ranked_family(delta: TriangleSpec, p: int, beta2bar: dict[Point, Point]) \
+        -> tuple[list[Point], list[dict]]:
+    """The exchange family in descending rank: the per-vector usage
+    counts taken in sequence order, ties by canonical target order."""
+    vseq, family = exchange_family(delta, p, beta2bar)
+    srcs = delta.sort_points(beta2bar)
+    family.sort(key=lambda m: (_count_vector(m, vseq),
+                               tuple(delta.canonical_key(m[s]) for s in srcs)),
+                reverse=True)
+    return vseq, family
+
+
 def maximize_beta2(delta: TriangleSpec, p: int,
                    beta2bar: dict[Point, Point]) -> dict[Point, Point]:
     """A rank-maximal element of the exchange family.
@@ -468,14 +514,7 @@ def maximize_beta2(delta: TriangleSpec, p: int,
     sequence order, so the lexicographic maximum is the fixed point of
     the augmenting process; ties break by canonical target order.
     """
-    if not beta2bar:
-        return {}
-    vseq, family = exchange_family(delta, p, beta2bar)
-    srcs = delta.sort_points(beta2bar)
-    family.sort(key=lambda m: (_count_vector(m, vseq),
-                               tuple(delta.canonical_key(m[s]) for s in srcs)),
-                reverse=True)
-    return family[0]
+    return ranked_family(delta, p, beta2bar)[1][0]
 
 
 def assemble_beta(delta: TriangleSpec, p: int, budget: int = 400_000,
@@ -514,63 +553,42 @@ def assemble_beta(delta: TriangleSpec, p: int, budget: int = 400_000,
     def try_beta2bar(arrows: dict[Point, Point]) -> dict | None:
         # walk the exchange family in descending rank to the first
         # assembly-feasible element: the rank-maximal feasible map
-        vseq, family = exchange_family(delta, p, arrows)
-        family.sort(key=lambda m: (_count_vector(m, vseq),
-                                   tuple(delta.canonical_key(m[srcq])
-                                         for srcq in l2)), reverse=True)
+        vseq, family = ranked_family(delta, p, arrows)
         top_rank = _count_vector(family[0], vseq) if family else ()
         for beta2 in family:
-            trial = finish_assembly(arrows, beta2, vseq)
+            trial = finish_assembly(arrows, beta2)
             if trial is not None:
                 trial["rank"] = _count_vector(beta2, vseq)
                 trial["top_rank"] = top_rank
                 return trial
         return None
 
-    def finish_assembly(beta2bar, beta2, vseq) -> dict | None:
-        closure: dict[Point, Point] = {}
-        for src, q in beta2.items():
-            mq = mirror(delta, q)
-            if mq in b1 or mq in beta2 or mq in closure:
-                return None
-            if mq not in set(part.l3):
-                return None
-            closure[mq] = mirror(delta, src)
-        fixed = dict(b1)
-        fixed.update(beta2)
-        fixed.update(closure)
-        dom_rest = [pt for pt in y0 if pt not in fixed]
-        ran_used = set(fixed.values())
-        if len(ran_used) != len(fixed):
-            return None
-        ran_rest = [q for q in my0 if q not in ran_used]
+    def finish_assembly(beta2bar, beta2) -> dict | None:
         first = None
         tried = 0
         try:
-            for comp in _completions(delta, p, fixed, dom_rest, ran_rest,
-                                     None, budget):
-                full = dict(fixed)
-                full.update(comp)
+            for closure, comp, full in _closure_completions(
+                    delta, p, b1, beta2, None, budget):
                 spec_b = make_special(full)
                 if first is None:
-                    first = (full, comp, spec_b)
+                    first = (closure, comp, full, spec_b)
                 if not prefer_even or spec_b.sign == 1:
-                    first = (full, comp, spec_b)
+                    first = (closure, comp, full, spec_b)
                     break
                 tried += 1
                 if tried >= even_tries:
                     break
-        except BetaConstructionError:
+        except EnumerationBudgetExceeded:
             return None
         if first is None:
             return None
-        full, comp, spec_b = first
+        closure, comp, full, spec_b = first
         return {"beta2bar": dict(beta2bar), "beta2": dict(beta2),
                 "closure": closure, "comp": comp, "full": full,
                 "special": spec_b}
 
     if not l2:
-        trial = finish_assembly({}, {}, [])
+        trial = finish_assembly({}, {})
         if trial is None:
             raise BetaConstructionError("no symmetric special completion found")
         result = trial
@@ -608,26 +626,19 @@ def assemble_beta(delta: TriangleSpec, p: int, budget: int = 400_000,
     beta2 = result["beta2"]
     full = result["full"]
     spec_b = result["special"]
-    sbeta2 = dict(beta2)
-    sbeta2.update(result["closure"])
-    beta3 = {src: q for src, q in result["comp"].items()}
-    k_formula = 0
-    for src in l2:
-        v = _vec(src, beta2[src])
-        vd = (v[1], v[0])
-        tgt = (src[0] - vd[0], src[1] - vd[1])
-        if tgt in my0_set:
-            k_formula += 1
+    sbeta2 = {**beta2, **result["closure"]}
+    beta3 = dict(result["comp"])
+    k_formula = sum(_reflected(src, q) in my0_set for src, q in beta2.items())
     book["used_copies"] = sorted({_copy_index(delta, p, q)
                                   for q in beta2.values()}) if beta2 else []
     if "rank" in result:
         book["rank"] = list(result["rank"])
         book["top_rank"] = list(result["top_rank"])
     assembly = BetaAssembly(delta, p, b1, part, result["beta2bar"], beta2,
-                            sbeta2, beta3, full, spec_b, k_formula, 0,
+                            sbeta2, beta3, full, spec_b, k_formula,
                             spec_b.sign, book)
     validate_assembly(assembly)
-    assembly.k_exponent = len(valid_toggles(assembly, budget))
+    assembly.toggles = valid_toggles(assembly, budget)
     return assembly
 
 
@@ -661,147 +672,59 @@ def valid_toggles(a: BetaAssembly, budget: int = 400_000) -> list[Point]:
 def _toggle_subset_valid(a: BetaAssembly, subset: tuple[Point, ...],
                          budget: int) -> dict[Point, Point] | None:
     """Try to rebuild a related bijection with reflected arrows on subset."""
-    delta, p = a.delta, a.p
-    _, _, y0, my0 = split_T1(delta, p)
-    my0_set = set(my0)
-    target = a.special.vectors
-    need: dict[Point, int] = {}
-    for v in target:
-        need[v] = need.get(v, 0) + 1
+    my0_set = set(split_T1(a.delta, a.p)[3])
     beta2 = {}
     for src, q in a.beta2.items():
         if src in subset:
-            v = _vec(src, q)
-            vd = (v[1], v[0])
-            q2 = (src[0] - vd[0], src[1] - vd[1])
-            if q2 not in my0_set:
+            q = _reflected(src, q)
+            if q not in my0_set:
                 return None
-            beta2[src] = q2
-        else:
-            beta2[src] = q
-    if len(set(beta2.values())) != len(beta2):
-        return None
-    closure = {}
-    for src, q in beta2.items():
-        mq = mirror(delta, q)
-        if mq in a.beta1 or mq in beta2 or mq in closure:
-            return None
-        closure[mq] = mirror(delta, src)
-    fixed = dict(a.beta1)
-    fixed.update(beta2)
-    fixed.update(closure)
-    if len(set(fixed.values())) != len(fixed):
-        return None
-    counts = dict(need)
-    for src, q in fixed.items():
-        v = _vec(src, q)
-        if counts.get(v, 0) <= 0:
-            return None
-        counts[v] -= 1
-    dom_rest = [pt for pt in y0 if pt not in fixed]
-    ran_used = set(fixed.values())
-    ran_rest = [q for q in my0 if q not in ran_used]
+        beta2[src] = q
     try:
-        for comp in _completions(delta, p, fixed, dom_rest, ran_rest,
-                                 counts, budget):
-            full = dict(fixed)
-            full.update(comp)
+        for _, _, full in _closure_completions(a.delta, a.p, a.beta1, beta2,
+                                               a.vector_multiset(), budget):
             return full
-    except BetaConstructionError:
-        return None
+    except EnumerationBudgetExceeded:
+        pass
     return None
-
-
-def is_symmetric(delta: TriangleSpec, bij: SpecialBijection) -> bool:
-    m = dict(bij.pairs)
-    for src, q in bij.pairs:
-        if m.get(mirror(delta, q)) != mirror(delta, src):
-            return False
-    return True
 
 
 def related_class_characterization(a: BetaAssembly,
                                    budget: int = 400_000) -> dict:
-    """Toggle-generated related maps plus the exhaustive cross-checks.
+    """The relatedness class of the assembled map and its symmetric part.
 
-    Two class notions are reported: the full multiset class (every
-    special bijection sharing the difference-vector multiset) and its
-    symmetric members, which is the class the toggle characterization
-    describes.  The class coefficient sums sign/prod(b!) = sign/K in
-    exact rationals over the full multiset class.
+    Two class notions are reported.  The full multiset class is every
+    special bijection sharing beta's difference-vector multiset; its
+    size, its signs and its coefficient, sign/prod(b!) = sign/K summed in
+    exact rationals, come from the one-class ``special_classes`` DP.  Its
+    symmetric members, the class the toggle characterization describes,
+    come from the completion search started with no fixed arrows and
+    exactly beta's vector counts.  ``generated_size`` counts the distinct
+    maps rebuilt from the subsets of ``a.toggles``.  More than ``budget``
+    DP transitions or search steps raises ``EnumerationBudgetExceeded``.
     """
     delta, p = a.delta, a.p
-    make_special = _special_maker(delta, split_T1(delta, p)[2])
-    toggles = valid_toggles(a, budget)
-    generated = {}
-    import itertools
-    for rsize in range(len(toggles) + 1):
-        for subset in itertools.combinations(toggles, rsize):
+    _, _, y0, my0 = split_T1(delta, p)
+    [cls] = special_classes(delta, p, budget, vectors=a.special.vectors)
+    make_special = _special_maker(delta, y0)
+    symmetric = [make_special(m) for m in _completions(
+        delta, p, {}, list(y0), list(my0), a.vector_multiset(), budget)]
+    generated = set()
+    for rsize in range(len(a.toggles) + 1):
+        for subset in itertools.combinations(a.toggles, rsize):
             full = _toggle_subset_valid(a, subset, budget) if subset \
-                else dict(a.beta)
+                else a.beta
             if full is not None:
-                key = tuple(sorted(full.items()))
-                generated[key] = make_special(full)
-    enumerated = enumerate_related(delta, p, a.special.vectors, budget)
-    symmetric = [b for b in enumerated if is_symmetric(delta, b)]
-    k = combo_denominator(delta, p)
-    coeff = Fraction(sum(b.sign for b in enumerated), k)
-    sym_coeff = Fraction(sum(b.sign for b in symmetric), k)
+                generated.add(tuple(sorted(full.items())))
     return {
         "k_formula": a.k_formula,
-        "k_validated": len(toggles),
-        "generated": list(generated.values()),
-        "enumerated": enumerated,
+        "k_validated": len(a.toggles),
         "symmetric": symmetric,
         "generated_size": len(generated),
-        "enumerated_size": len(enumerated),
+        "enumerated_size": cls.size,
         "symmetric_size": len(symmetric),
-        "signs": sorted({b.sign for b in enumerated}),
-        "class_coefficient": coeff,
-        "symmetric_class_coefficient": sym_coeff,
+        "signs": [s for s in (-1, 1) if cls.size + s * cls.sign_balance],
+        "class_coefficient": cls.coefficient,
+        "symmetric_class_coefficient": Fraction(
+            sum(b.sign for b in symmetric), combo_denominator(delta, p)),
     }
-
-
-def enumerate_related(delta: TriangleSpec, p: int,
-                      vectors: tuple[Point, ...], budget: int = 400_000) \
-        -> list[SpecialBijection]:
-    """All special bijections with the given difference multiset."""
-    _, _, y0, my0 = split_T1(delta, p)
-    make_special = _special_maker(delta, y0)
-    my0_set = set(my0)
-    counts: dict[Point, int] = {}
-    for v in vectors:
-        counts[v] = counts.get(v, 0) + 1
-    order = list(y0)
-    used: set[Point] = set()
-    assignment: dict[Point, Point] = {}
-    out = []
-    steps = 0
-
-    def rec(i):
-        nonlocal steps
-        steps += 1
-        if steps > budget:
-            raise EnumerationBudgetExceeded("related enumeration budget exceeded")
-        if i == len(order):
-            out.append(make_special(assignment))
-            return
-        src = order[i]
-        for v in sorted(c for c in counts if counts[c] > 0):
-            q = (src[0] - v[0], src[1] - v[1])
-            if q in my0_set and q not in used:
-                counts[v] -= 1
-                used.add(q)
-                assignment[src] = q
-                rec(i + 1)
-                del assignment[src]
-                used.discard(q)
-                counts[v] += 1
-
-    try:
-        rec(0)
-    finally:
-        # rec holds itself, and through it out: without this, the
-        # bijections outlive the caller's list until a cyclic collection
-        del rec
-    return out

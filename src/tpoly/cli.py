@@ -15,6 +15,7 @@ import os
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal
 from fractions import Fraction
 
 from . import beta as beta_mod
@@ -27,7 +28,8 @@ SCHEMA = "tpoly/1"
 
 def frac_str(x) -> str:
     f = x if isinstance(x, Fraction) else Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    # Decimal prints past the int-to-str digit limit, kept for parsing --f
+    return f"{Decimal(f.numerator)}/{Decimal(f.denominator)}"
 
 
 def _json_default(obj):
@@ -328,8 +330,8 @@ def _plain(obj):
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set)):
-        return [_plain(v) for v in sorted(obj) if not isinstance(obj, dict)] \
-            if isinstance(obj, set) else [_plain(v) for v in obj]
+        return [_plain(v)
+                for v in (sorted(obj) if isinstance(obj, set) else obj)]
     if isinstance(obj, Fraction):
         return frac_str(obj)
     return obj
@@ -523,7 +525,8 @@ def build_checks(delta: TriangleSpec, p: int, seed: int):
         def c_example_beta():
             sc = combos.SpecialCount(delta, p)
             return (sc.pairs.admits(EXAMPLE_BETA_7_17),
-                    "example bijection enumerated", sc.count)
+                    "example admitted by the special-pair table; "
+                    "computed is the table's permanent", sc.count)
         add("example_special_bijection_present", "reference", c_example_beta)
 
         def c_exponents():

@@ -27,6 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .lattice import (Point, TriangleSpec, antidiag_index, enumerate_T,
                       fundamental_cell, mirror, split_T1)
@@ -119,6 +120,7 @@ class SpecialPairs:
                         for pt, row in zip(self.y0, self.rows)))
 
 
+@lru_cache(maxsize=64)
 def special_pairs(delta: TriangleSpec, p: int) -> SpecialPairs:
     _, _, y0, _ = split_T1(delta, p)
     targets = tuple(mirror(delta, pt) for pt in y0)
@@ -336,8 +338,9 @@ class SpecialClass:
     coefficient: Fraction          # sum of sign/K = sign_balance/K
 
 
-def special_classes(delta: TriangleSpec, p: int,
-                    budget: int = 2_000_000) -> list[SpecialClass]:
+def special_classes(delta: TriangleSpec, p: int, budget: int = 2_000_000,
+                    vectors: tuple[Point, ...] | None = None) \
+        -> list[SpecialClass]:
     """Every relatedness class, by a signed subset DP over special pairs.
 
     Row i of the table is Y0[i], column j the target m(Y0[j]); an entry
@@ -348,6 +351,12 @@ def special_classes(delta: TriangleSpec, p: int,
     column j flips the sign once per used column right of j, which counts
     the inversions of the permutation of Y0.  Full states are the classes,
     ordered by multiset as ``relatedness_classes`` orders them.
+
+    ``vectors``, a difference multiset, asks for its class alone: the
+    table keeps only the entries whose label is in it, and after each row
+    the DP drops every state holding more of some label than the multiset
+    does.  Every full state left has exactly the multiset's counts, so the
+    result is that one class, or empty when no special bijection has it.
 
     All-or-nothing: more than ``budget`` DP transitions raises.
     """
@@ -363,8 +372,12 @@ def special_classes(delta: TriangleSpec, p: int,
     # the T_{1,2} point whose residue is each Y0 point
     source = {((p * x) % d, (p * y) % d): (x, y) for x, y in t12}
     n = len(y0)
-    width = n.bit_length()          # a label count is at most n
+    # a label count is at most n; for one class, a spare top bit per count
+    width = n.bit_length() + (vectors is not None)
     full = (1 << n) - 1
+    cap: dict[int, int] = {}        # label index -> its count in vectors
+    for v in vectors or ():
+        cap[label_idx[v]] = cap.get(label_idx[v], 0) + 1
     used_labels: dict[int, int] = {}  # label index -> packed slot
     rows = []
     for pt, cols in zip(y0, table.rows):
@@ -381,12 +394,22 @@ def special_classes(delta: TriangleSpec, p: int,
                      i1 * labels[0][1] + i2 * labels[1][1] + labels[lab][1])
             if combo != (p * x - q[0], p * y - q[1]):
                 raise AssertionError(f"combo constraint fails at {q}")
+            if vectors is not None and lab not in cap:
+                continue
             slot = used_labels.setdefault(lab, len(used_labels))
             row.append((j, (1 << j) + (1 << (n + width * slot)),
                         full & -(2 << j)))
         rows.append(row)
+    # each count starts at top - 1 - cap, so it sets its top bit, the
+    # guard, just when it passes its cap
+    start = guard = 0
+    if vectors is not None:
+        top = 1 << (width - 1)
+        for lab, slot in used_labels.items():
+            start += (top - 1 - cap[lab]) << (n + width * slot)
+            guard += top << (n + width * slot)
 
-    layer = {0: (1, 1)}             # packed state -> (count, signed count)
+    layer = {start: (1, 1)}         # packed state -> (count, signed count)
     steps = 0
     for row in rows:
         nxt: dict[int, tuple[int, int]] = {}
@@ -406,12 +429,14 @@ def special_classes(delta: TriangleSpec, p: int,
                 old = nxt.get(nk)
                 nxt[nk] = (cnt, s) if old is None \
                     else (old[0] + cnt, old[1] + s)
+        if guard:
+            nxt = {key: c for key, c in nxt.items() if not key & guard}
         layer = nxt
 
     slot_mask = (1 << width) - 1
     out = []
     for key, (cnt, sgn) in layer.items():
-        packed = key >> n
+        packed = (key - start) >> n
         exps = list(base)
         vecs = []
         for lab, slot in used_labels.items():

@@ -1,7 +1,5 @@
-import gc
-import math
-import weakref
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -178,12 +176,108 @@ def test_ordinary_assembly_trivial():
     assert a.beta == {} and a.k_exponent == 0 and a.sign == 1
 
 
+def enumerate_related(delta, p, vectors):
+    """Every special bijection with the given difference multiset, one at
+    a time by depth-first search: the oracle for the one-class DP."""
+    _, _, y0, my0 = lattice.split_T1(delta, p)
+    make_special = combos._special_maker(delta, y0)
+    my0_set = set(my0)
+    counts = Counter(vectors)
+    used, assignment, out = set(), {}, []
+
+    def rec(i):
+        if i == len(y0):
+            out.append(make_special(assignment))
+            return
+        src = y0[i]
+        for v in sorted(c for c in counts if counts[c] > 0):
+            q = (src[0] - v[0], src[1] - v[1])
+            if q in my0_set and q not in used:
+                counts[v] -= 1
+                used.add(q)
+                assignment[src] = q
+                rec(i + 1)
+                del assignment[src]
+                used.discard(q)
+                counts[v] += 1
+
+    rec(0)
+    return out
+
+
+def is_symmetric(delta, bij):
+    m = dict(bij.pairs)
+    return all(m.get(lattice.mirror(delta, q)) == lattice.mirror(delta, src)
+               for src, q in bij.pairs)
+
+
 def test_enumerate_related_matches_class():
     a = beta.assemble_beta(D13, 41)
-    found = beta.enumerate_related(D13, 41, a.special.vectors)
+    found = enumerate_related(D13, 41, a.special.vectors)
     keys = {b.vectors for b in found}
     assert keys == {a.special.vectors}
     assert len(found) == 15
+
+
+@pytest.mark.parametrize("d,p", [(13, 41), (8, 23), (14, 37)])
+def test_related_class_matches_enumeration(d, p):
+    delta = isosceles(d)
+    a = beta.assemble_beta(delta, p)
+    rep = beta.related_class_characterization(a)
+    found = enumerate_related(delta, p, a.special.vectors)
+    k = combos.combo_denominator(delta, p)
+    assert rep["enumerated_size"] == len(found)
+    assert rep["class_coefficient"] == Fraction(sum(b.sign for b in found), k)
+    assert rep["signs"] == sorted({b.sign for b in found})
+    symmetric = [b for b in found if is_symmetric(delta, b)]
+    assert sorted(b.pairs for b in rep["symmetric"]) \
+        == sorted(b.pairs for b in symmetric)
+    assert sorted(b.sign for b in rep["symmetric"]) \
+        == sorted(b.sign for b in symmetric)
+
+
+@pytest.mark.parametrize("d,p", [(13, 41), (19, 41)])
+def test_closure_lands_in_l3(monkeypatch, d, p):
+    # Y0 = L1 + L2 + L3, beta2 covers L2 and m maps m(Y0) onto Y0: a
+    # closure source outside beta1 and beta2 always lies in L3
+    tried = []
+    search = beta._closure_completions
+
+    def spy(delta, p_, beta1, beta2, counts, budget):
+        tried.append((dict(beta1), dict(beta2)))
+        return search(delta, p_, beta1, beta2, counts, budget)
+
+    monkeypatch.setattr(beta, "_closure_completions", spy)
+    delta = isosceles(d)
+    a = beta.assemble_beta(delta, p)
+    l3 = set(a.partition.l3)
+    assert tried and a.partition.l2
+    for beta1, beta2 in tried:
+        assert set(beta2) == set(a.partition.l2)
+        for q in beta2.values():
+            mq = lattice.mirror(delta, q)
+            assert mq in beta1 or mq in beta2 or mq in l3
+
+
+def test_valid_toggles_run_once_per_assembly(monkeypatch):
+    calls = []
+    toggles = beta.valid_toggles
+
+    def counted(a, budget=400_000):
+        calls.append(a)
+        return toggles(a, budget)
+
+    monkeypatch.setattr(beta, "valid_toggles", counted)
+    a = beta.assemble_beta(D13, 41)
+    beta.related_class_characterization(a)
+    assert len(calls) == 1 and a.k_exponent == len(a.toggles) == 0
+
+
+def test_related_class_refused_past_budget_19_41():
+    a = beta.assemble_beta(isosceles(19), 41)
+    with pytest.raises(combos.EnumerationBudgetExceeded,
+                       match="more than 20000 DP transitions"):
+        beta.related_class_characterization(a, budget=20_000)
 
 
 def test_toggle_empty_subset_is_beta():
@@ -199,14 +293,14 @@ def test_symmetry_of_assembled_map():
         assert m[(13 - q[0], 13 - q[1])] == (13 - src[0], 13 - src[1])
 
 
-def test_build_beta2_surface():
-    b2bar, book = beta.build_beta2(D13, 41)
-    assert set(b2bar) == {(12, 12)}
-    assert "stage2" in book and "bounds" in book["stage2"]
+def test_assembly_beta2_surface():
+    a = beta.assemble_beta(D13, 41)
+    assert set(a.beta2bar) == {(12, 12)}
+    assert "stage2" in a.bookkeeping and "bounds" in a.bookkeeping["stage2"]
 
 
 def test_maximize_beta2_idempotent():
-    b2bar, _ = beta.build_beta2(D13, 41)
+    b2bar = beta.assemble_beta(D13, 41).beta2bar
     m1 = beta.maximize_beta2(D13, 41, b2bar)
     m2 = beta.maximize_beta2(D13, 41, m1)
     vseq, _ = beta.exchange_family(D13, 41, b2bar)
@@ -216,21 +310,9 @@ def test_maximize_beta2_idempotent():
 
 
 def test_maximize_beta2_rank_not_below_start():
-    b2bar, _ = beta.build_beta2(D13, 41)
+    b2bar = beta.assemble_beta(D13, 41).beta2bar
     vseq, fam = beta.exchange_family(D13, 41, b2bar)
     best = beta.maximize_beta2(D13, 41, b2bar)
     assert beta._count_vector(best, vseq) >= beta._count_vector(b2bar, vseq)
     assert all(beta._count_vector(best, vseq) >= beta._count_vector(m, vseq)
                for m in fam)
-
-
-def test_enumerate_related_freed_without_cyclic_collection():
-    a = beta.assemble_beta(D13, 41)
-    gc.disable()
-    try:
-        found = beta.enumerate_related(D13, 41, a.special.vectors)
-        first = weakref.ref(found[0])
-        del found
-        assert first() is None
-    finally:
-        gc.enable()

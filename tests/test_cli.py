@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -103,6 +104,18 @@ def _ref_special_payload(delta, p):
         })
     return {"schema": cli.SCHEMA, "command": "special", "p": p,
             "count": len(bs), "classes": recs}
+
+
+def test_special_prints_coefficients_past_int_str_limit(capsys):
+    # K has more digits than Python's default int-to-str limit here; the
+    # limit stays in place for parsing input
+    assert run(["special", "--d", "5", "--p", "997"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    k = combos.combo_denominator(isosceles(5), 997)
+    assert len(str(Decimal(k))) > sys.get_int_max_str_digits()
+    for rec in data["classes"]:
+        num, den = (int(Decimal(part)) for part in rec["coefficient"].split("/"))
+        assert Fraction(num, den) == Fraction(rec["sign_balance"], k)
 
 
 @pytest.mark.parametrize("d,p", [(5, 11), (5, 19), (7, 53)])

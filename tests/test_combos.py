@@ -218,6 +218,45 @@ def test_special_classes_match_enumeration_7_17():
         assert by_vectors[b.vectors].exponents == data.exponents
 
 
+@pytest.mark.parametrize("d,p", [(5, 19), (7, 17), (7, 53)])
+def test_one_class_dp_matches_enumeration(d, p):
+    # special_classes(vectors=...) against the bijection-by-bijection oracle
+    delta = isosceles(d)
+    k = combos.combo_denominator(delta, p)
+    full = {c.vectors: c for c in combos.special_classes(delta, p)}
+    for cl in combos.relatedness_classes(combos.special_bijections(delta, p)):
+        one, = combos.special_classes(delta, p, vectors=cl[0].vectors)
+        assert one.vectors == cl[0].vectors
+        assert one.size == len(cl)
+        assert one.sign_balance == sum(b.sign for b in cl)
+        assert one.coefficient == Fraction(one.sign_balance, k)
+        assert one.exponents == full[one.vectors].exponents
+
+
+def test_one_class_dp_on_neighbouring_multisets_5_19():
+    # move one count between two labels of each class: the one-class DP
+    # returns the class with the moved multiset if it exists, else nothing
+    delta = isosceles(5)
+    full = {c.vectors: c for c in combos.special_classes(delta, 19)}
+    for vectors in full:
+        support = sorted(set(vectors))
+        for a in support:
+            for b in support:
+                if a == b:
+                    continue
+                moved = list(vectors)
+                moved.remove(b)
+                moved = tuple(sorted(moved + [a]))
+                got = combos.special_classes(delta, 19, vectors=moved)
+                assert got == ([full[moved]] if moved in full else [])
+
+
+def test_one_class_dp_without_bijection_is_empty():
+    # (7,17) has no special bijection using one label for all nine points
+    label = combos.special_classes(D7, 17)[0].vectors[0]
+    assert combos.special_classes(D7, 17, vectors=(label,) * 9) == []
+
+
 def test_special_classes_budget_counts_transitions():
     # (7,17) takes 38,845 DP transitions; one fewer is all-or-nothing
     assert sum(c.size for c in combos.special_classes(D7, 17, budget=38_845)) \
