@@ -11,8 +11,11 @@ jQ and j.  One product with the rows pi^s mod T^N turns the c into
 T-series at the end.  Over F_{p^n}, n > 1, the same steps run on Z_q
 coordinates, and products go through poly_matmul by the regular
 representation.  _twisted_traces gives the trace power sums for every
-n: it forms only the powers A^i, i <= ceil(L/2), each as A A^(i-1) so
-that the row-sparse operator is the left factor, and pairs them,
+n on the operator's closed-walk support, what is left once every index
+with a zero row or column mod (p^m, T^N) is dropped, until none is.
+That is exact: det(I - sA) expands along such a row or column.  It
+forms only the powers A^i, i <= ceil(L/2), each as A A^(i-1) so that
+the row-sparse operator is the left factor, and pairs them,
 tr(A^(2i-1)) = tr(A^i A^(i-1)) and tr(A^(2i)) = tr(A^i A^i), each an
 entrywise product summed over the matrix with a T-convolution.
 Newton's identities (at an elevated p-power precision, so the divisions
@@ -25,7 +28,7 @@ p^(2m) N < 2^62 bounds every sum.  Products run in float64 BLAS on
 entries reduced mod p^m, and every sum is reduced before it could pass
 2^53, so each is an exact integer and u_l equals the pure integer
 computation bit for bit.  The guard p^(2m) * inner-dim < 2^53, one
-T-slice's worth, refuses the rest.
+T-slice's worth, refuses the rest; the inner dimension is the support's.
 """
 
 from __future__ import annotations
@@ -347,9 +350,10 @@ def _zq_mat_mul(X: np.ndarray, Y: np.ndarray, mult: np.ndarray,
     return prod.reshape(w, n, w, N)
 
 
-def _pair_trace(X: np.ndarray, Y: np.ndarray, mult: np.ndarray,
+def _pair_trace(x_rows: np.ndarray, y_cols: np.ndarray, mult: np.ndarray,
                 modulus: int) -> np.ndarray:
-    """Coordinates (n, N) of tr(XY) for (w, n, w, N) Z_q series matrices.
+    """Coordinates (n, N) of tr(XY) for (w, n, w, N) Z_q series matrices,
+    from float64 layouts x_rows[i, j] = X[i, j], y_cols[i, j] = Y[j, i].
 
     tr(XY) = sum_(i,j) X[i,j] Y[j,i]: one float64 product pairs every
     T^t1 coefficient with every T^t2 coefficient over all (i, j), the
@@ -357,16 +361,14 @@ def _pair_trace(X: np.ndarray, Y: np.ndarray, mult: np.ndarray,
     the coordinate pair.  Sums run over blocks of rows i small enough to
     stay exact; the guard is poly_matmul's.
     """
-    w, n, _, N = X.shape
+    w, _, n, N = x_rows.shape
     if modulus * modulus * w * n >= 2 ** 53:
         raise ValueError("modulus too large for exact float64 matmul")
-    xf = X.transpose(0, 2, 1, 3).astype(np.float64).reshape(w, w, n * N)
-    yf = Y.transpose(2, 0, 1, 3).astype(np.float64).reshape(w, w, n * N)
     rows = (2 ** 53 - modulus) // ((modulus - 1) ** 2 * w)
     G = np.zeros((n * N, n * N))
     for i in range(0, w, rows):
-        blk = G + xf[i:i + rows].reshape(-1, n * N).T \
-            @ yf[i:i + rows].reshape(-1, n * N)
+        blk = G + x_rows[i:i + rows].reshape(-1, n * N).T \
+            @ y_cols[i:i + rows].reshape(-1, n * N)
         G = np.remainder(blk, modulus)
     G = G.astype(np.int64).reshape(n, N, n, N)
     H = np.zeros((n, n, N), dtype=np.int64)
@@ -408,35 +410,53 @@ def _operator(delta, f_hat_residues, p, m_work, N, n, window):
     return mat, mult
 
 
+def _on_closed_walk_support(A: np.ndarray) -> np.ndarray:
+    """A (w, n, w, N) restricted to the indices left once every index with
+    a zero row or column among the rest is dropped, until none is."""
+    nz = A.any(axis=(1, 3))
+    keep = np.ones(len(nz), dtype=bool)
+    while True:
+        live = keep & nz[:, keep].any(axis=1) & nz[keep].any(axis=0)
+        if (live == keep).all():
+            return A[keep][:, :, keep]
+        keep = live
+
+
 def _twisted_traces(delta, f_hat_residues, p, m_work, N, L, n, slack):
     """tr(A^k) mod (p^m_work, T^N), k = 1..L, for the operator A over F_{p^n}.
 
     A trace is coordinate 0 of the Z_q trace; the others must vanish.
-    Only the powers A^i, i <= ceil(L/2), are formed, each as A times the
-    last, and two are alive at a time: tr(A^(2i-1)) = tr(A^i A^(i-1)) and
+    A runs on its closed-walk support: tr(A^k) sums products along closed
+    walks, and an index with a zero row or column lies on none, so
+    dropping it is exact.  Only the powers A^i, i <= ceil(L/2), are
+    formed, each as A times the last, and two are alive at a time, with
+    float64 layouts built once each: tr(A^(2i-1)) = tr(A^i A^(i-1)) and
     tr(A^(2i)) = tr(A^i A^i).
     """
     window = window_points(delta, p, N, slack)
-    w = len(window)
     m = p ** m_work
     mat, mult = _operator(delta, f_hat_residues, p, m_work, N, n, window)
-
-    def coords(X):
-        return X.reshape(w, n, w, N)
+    A = _on_closed_walk_support(mat.reshape(len(window), n, len(window), N))
+    w = len(A)
+    mat = A.reshape(w, w, N) if n == 1 else A
 
     traces = []
-    prev, power = None, mat
+    prev_cols, power = None, mat
     for i in range(1, (L + 1) // 2 + 1):
         if i > 1:
-            prev, power = power, (poly_matmul(mat, power, m) if n == 1
-                                  else _zq_mat_mul(mat, power, mult, m))
-        if prev is None:
-            traces.append(np.array([poly_trace(coords(power)[:, c], m)
+            power = (poly_matmul(mat, power, m) if n == 1
+                     else _zq_mat_mul(mat, power, mult, m))
+        coords = power.reshape(w, n, w, N)
+        rows = coords.transpose(0, 2, 1, 3).astype(np.float64)
+        cols = coords.transpose(2, 0, 1, 3).astype(np.float64)
+        if prev_cols is None:
+            traces.append(np.array([poly_trace(coords[:, c], m)
                                     for c in range(n)]))
         else:
-            traces.append(_pair_trace(coords(power), coords(prev), mult, m))
+            traces.append(_pair_trace(rows, prev_cols, mult, m))
         if 2 * i <= L:
-            traces.append(_pair_trace(coords(power), coords(power), mult, m))
+            traces.append(_pair_trace(rows, cols, mult, m))
+        prev_cols = cols
     if any(tr[1:].any() for tr in traces):
         raise AssertionError("twisted trace left the base ring")
     return [tr[0] for tr in traces]

@@ -357,7 +357,22 @@ def test_pair_trace_matches_trace_of_product():
     X, Y = rng.integers(modulus - 1000, modulus, size=(2, w, 2, w, N))
     prod = dwork._zq_mat_mul(X, Y, mult, modulus)
     want = np.einsum('icit->ct', prod) % modulus
-    assert (dwork._pair_trace(X, Y, mult, modulus) == want).all()
+    x_rows = X.transpose(0, 2, 1, 3).astype(np.float64)
+    y_cols = Y.transpose(2, 0, 1, 3).astype(np.float64)
+    assert (dwork._pair_trace(x_rows, y_cols, mult, modulus) == want).all()
+    with pytest.raises(ValueError, match="modulus too large"):
+        dwork._pair_trace(x_rows, y_cols, mult, 7 ** 9)
+
+
+def test_closed_walk_support_drops_until_stable():
+    # 0 -> 1 -> 2 -> 2 and 3 <-> 4: column 0 is zero, and once 0 is gone
+    # so is column 1; 2 keeps its loop, 3 and 4 their cycle
+    A = np.zeros((5, 1, 5, 3), dtype=np.int64)
+    for v, (i, j) in enumerate([(0, 1), (1, 2), (2, 2), (3, 4), (4, 3)], 1):
+        A[i, 0, j, 2] = v
+    want = np.zeros((3, 1, 3, 3), dtype=np.int64)
+    want[0, 0, 0, 2], want[1, 0, 2, 2], want[2, 0, 1, 2] = 3, 4, 5
+    assert np.array_equal(dwork._on_closed_walk_support(A), want)
 
 
 def _ref_twisted_traces(delta, f_hat_residues, p, m_work, N, L, n, slack):
@@ -391,21 +406,68 @@ def _same_u(fast, slow):
         assert x.dtype == y.dtype == np.int64 and (x == y).all()
 
 
+def _support_size(delta, f, p, m_work, N, n=1):
+    """(window points, closed-walk support) of char_series' operator."""
+    window = dwork.window_points(delta, p, N)
+    mat, _ = dwork._operator(delta, f, p, m_work, N, n, window)
+    w = len(window)
+    return w, len(dwork._on_closed_walk_support(mat.reshape(w, n, w, N)))
+
+
+def test_np_window_char_series_matches_power_loop(monkeypatch):
+    # the np-window benchmark's shape; 23 of the 78 window points have a
+    # zero row or column, or come to have one once others are dropped
+    rng = random.Random(57)
+    f = {(x, y): rng.randrange(1, 7)
+         for x in range(4) for y in range(4 - x) if (x, y) != (0, 0)}
+    assert _support_size(D3, f, 7, 5, 20) == (78, 55)
+    args = (D3, f, 7, 2, 20, 21)
+    _same_u(dwork.char_series(*args),
+            _power_loop_char_series(monkeypatch, *args))
+
+
 def test_twisted_n2_char_series_matches_power_loop(monkeypatch):
     # at N = 20 the products of coordinate-1 parts reach the traces
     # (from T^16 on), so the coordinate contraction is exercised
+    assert _support_size(D2, F49, 7, 2, 20, n=2) == (36, 21)
     args = (D2, F49)
     kwargs = dict(p=7, M=2, N=20, L=5, n=2)
     _same_u(dwork.char_series(*args, **kwargs),
             _power_loop_char_series(monkeypatch, *args, **kwargs))
 
 
+class _RemainderSpy:
+    """dwork's numpy, recording whether each float64 np.remainder call
+    reduces in place (poly_matmul, partway) or not (a pairing block)."""
+
+    def __init__(self):
+        self.in_place = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def remainder(self, x, *args, **kwargs):
+        if x.dtype == np.float64:
+            self.in_place.append("out" in kwargs)
+        return np.remainder(x, *args, **kwargs)
+
+
 def test_char_series_near_the_guard_matches_power_loop(monkeypatch):
-    # p^8 on a 36-point window: one slice holds 1.2e15, so poly_matmul
-    # reduces partway and the trace pairing sums over blocks of rows
-    args = (D3, F3, 7, 8, 12, 4)
-    _same_u(dwork.char_series(*args),
-            _power_loop_char_series(monkeypatch, *args))
+    # p^8 on the 28-point support of N = 14: one slice holds 9.3e14, so
+    # poly_matmul reduces after 9 of the 14 slices, and the trace pairing
+    # sums over blocks of 9 rows
+    args = (D3, F3, 7, 8, 14, 4)
+    assert _support_size(D3, F3, 7, 8, 14) == (45, 28)
+    spy, pairings = _RemainderSpy(), []
+    pair_trace = dwork._pair_trace
+    with monkeypatch.context() as mp:
+        mp.setattr(dwork, "np", spy)
+        mp.setattr(dwork, "_pair_trace",
+                   lambda *a: pairings.append(1) or pair_trace(*a))
+        fast = dwork.char_series(*args)
+    assert any(spy.in_place)
+    assert spy.in_place.count(False) > len(pairings) == 3
+    _same_u(fast, _power_loop_char_series(monkeypatch, *args))
 
 
 # -- the pi-degree expansion and the gathered matrix -------------------
@@ -437,6 +499,7 @@ def test_expand_Ef_non_isosceles():
 
 
 def test_char_series_non_isosceles_matches_power_loop(monkeypatch):
+    assert _support_size(TRI, F_TRI, 7, 2, 12) == (16, 11)
     args = (TRI, F_TRI, 7, 2, 12, 6)
     _same_u(dwork.char_series(*args),
             _power_loop_char_series(monkeypatch, *args))
