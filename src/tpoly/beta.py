@@ -28,6 +28,10 @@ from .combos import (EnumerationBudgetExceeded, SpecialBijection, _d1_d0_d2,
                      special_classes)
 
 
+# completions assemble_beta tries for an even one before it keeps the first
+EVEN_TRIES = 64
+
+
 class BetaHypothesisError(RuntimeError):
     """Raised when a construction stage's hypothesis gate fails."""
 
@@ -517,8 +521,8 @@ def maximize_beta2(delta: TriangleSpec, p: int,
     return ranked_family(delta, p, beta2bar)[1][0]
 
 
-def assemble_beta(delta: TriangleSpec, p: int, budget: int = 400_000,
-                  prefer_even: bool = True, even_tries: int = 64) -> BetaAssembly:
+def assemble_beta(delta: TriangleSpec, p: int,
+                  budget: int = 400_000) -> BetaAssembly:
     """Run the full pipeline and validate the assembled bijection.
 
     Raises BetaHypothesisError when L2 is nonempty but the stage-2
@@ -564,25 +568,20 @@ def assemble_beta(delta: TriangleSpec, p: int, budget: int = 400_000,
         return None
 
     def finish_assembly(beta2bar, beta2) -> dict | None:
-        first = None
-        tried = 0
+        chosen = None
         try:
-            for closure, comp, full in _closure_completions(
-                    delta, p, b1, beta2, None, budget):
+            for closure, comp, full in itertools.islice(_closure_completions(
+                    delta, p, b1, beta2, None, budget), EVEN_TRIES):
                 spec_b = make_special(full)
-                if first is None:
-                    first = (closure, comp, full, spec_b)
-                if not prefer_even or spec_b.sign == 1:
-                    first = (closure, comp, full, spec_b)
-                    break
-                tried += 1
-                if tried >= even_tries:
+                if chosen is None or spec_b.sign == 1:
+                    chosen = (closure, comp, full, spec_b)
+                if spec_b.sign == 1:
                     break
         except EnumerationBudgetExceeded:
             return None
-        if first is None:
+        if chosen is None:
             return None
-        closure, comp, full, spec_b = first
+        closure, comp, full, spec_b = chosen
         return {"beta2bar": dict(beta2bar), "beta2": dict(beta2),
                 "closure": closure, "comp": comp, "full": full,
                 "special": spec_b}

@@ -479,20 +479,24 @@ def build_checks(delta: TriangleSpec, p: int, seed: int):
 
     def c_beta():
         a = beta_mod.assemble_beta(delta, p)
+        expected = "special, even, class = 2^k, coefficient 2^i/N1"
+        computed = {"sign": a.sign, "k_validated": a.k_exponent,
+                    "k_formula": a.k_formula}
+        if a.sign != 1:
+            # an odd assembly fails before the class DP, whose budget
+            # could otherwise mask it
+            return False, expected, computed
         rep = beta_mod.related_class_characterization(a)
-        ok = (a.sign == 1
-              and rep["symmetric_size"] == 2 ** a.k_exponent
+        ok = (rep["symmetric_size"] == 2 ** a.k_exponent
               and rep["symmetric_size"] == rep["generated_size"]
               and all(b.sign == 1 for b in rep["symmetric"]))
         coeff = rep["class_coefficient"]
         num = abs(coeff.numerator)
         ok = ok and num & (num - 1) == 0 and coeff.denominator % p != 0
-        return ok, "special, even, class = 2^k, coefficient 2^i/N1", {
-            "sign": a.sign, "k_validated": a.k_exponent,
-            "k_formula": a.k_formula,
-            "symmetric_class": rep["symmetric_size"],
-            "multiset_class": rep["enumerated_size"],
-            "coefficient": coeff}
+        return ok, expected, {**computed,
+                              "symmetric_class": rep["symmetric_size"],
+                              "multiset_class": rep["enumerated_size"],
+                              "coefficient": coeff}
     add("beta_pipeline", "cross-check", c_beta)
 
     if (d, p) == (7, 17):

@@ -1,27 +1,31 @@
 """Dwork operator, Fredholm coefficients, and the exponential-sum oracle.
 
-dwork_operator builds the operator from F_p residues: Teichmueller
-lifts, the product expansion of E_f into series e_P with
-v_T(e_P) >= ceil(w(P)), and the windowed matrix of entries e_{pQ-P}.
-The expansion works in powers of pi, not of T: each e_P is
-sum_s c_(P,s) pi^s with scalar c (coordinate vectors over F_{p^n}), the
-c of all points are one stacked array, and each support monomial Q and
-power j takes one batched step, a multiply by E_j a_Q^j and a shift by
-jQ and j.  One product with the rows pi^s mod T^N turns the c into
-T-series at the end.  Over F_{p^n}, n > 1, the same steps run on Z_q
-coordinates, and products go through poly_matmul by the regular
-representation.  _twisted_traces gives the trace power sums for every
-n on the operator's closed-walk support, what is left once every index
-with a zero row or column mod (p^m, T^N) is dropped, until none is.
-That is exact: det(I - sA) expands along such a row or column.  It
-forms only the powers A^i, i <= ceil(L/2), each as A A^(i-1) so that
-the row-sparse operator is the left factor, and pairs them,
-tr(A^(2i-1)) = tr(A^i A^(i-1)) and tr(A^(2i)) = tr(A^i A^i), each an
-entrywise product summed over the matrix with a T-convolution.
-Newton's identities (at an elevated p-power precision, so the divisions
-by l are exact) give u_l, and the T-adic Newton polygon is the lower
-hull of (l, v_T(u_l)/n).  Points outside the window contribute only
-beyond T^N.
+_operator is the one builder of the Frobenius operator A1 on a window,
+for every n: F_{p^n} residues (n = 1 is F_p) are lifted to Teichmueller
+representatives in UnramifiedRing, E_f is expanded into series e_P with
+v_T(e_P) >= ceil(w(P)), and A1 is the windowed matrix of entries
+e_{pQ-P}, each held as n Z_q coordinates.  The expansion works in
+powers of pi, not of T: each e_P is sum_s c_(P,s) pi^s with scalar c
+(coordinate vectors), the c of all points are one stacked array, and
+each support monomial Q and power j takes one batched step, a multiply
+by E_j a_Q^j and a shift by jQ and j.  One product with the rows pi^s
+mod T^N turns the c into T-series at the end.
+
+_twisted_traces gives the trace power sums of psi^n = sigma^(n-1)(A1)
+... sigma(A1) A1.  It restricts A1 to its closed-walk support, what is
+left once every index with a zero row or column mod (p^m, T^N) is
+dropped, until none is.  That is exact: sigma keeps each entry's
+support, so a closed walk of the product is one of A1.  It then forms
+the product A, its regular representation (a (wn, wn) int series
+matrix) once, and only the powers A^i, i <= ceil(L/2), each through
+poly_matmul as A A^(i-1) so that the row-sparse operator is the left
+factor, and pairs them, tr(A^(2i-1)) = tr(A^i A^(i-1)) and tr(A^(2i)) =
+tr(A^i A^i), each an entrywise product summed over the matrix with a
+T-convolution.  Newton's identities (at an elevated p-power precision,
+so the divisions by l are exact) give u_l, and the T-adic Newton
+polygon is the lower hull of (l, v_T(u_l)/n).  Points outside the
+window contribute only beyond T^N.  det_T1 reads A1 on the T1 window
+untrimmed: a determinant, unlike a trace, changes when an index goes.
 
 Exactness: the expansion runs in int64, where SeriesRing's guard
 p^(2m) N < 2^62 bounds every sum.  Products run in float64 BLAS on
@@ -54,7 +58,8 @@ class PrecisionExhausted(ValueError):
     pass
 
 
-DEFAULT_SLACK = 2
+# window margin past the exact cut (p-1)*w(P) <= N
+WINDOW_SLACK = 2
 
 
 def teichmueller_int(c: int, p: int, M: int) -> int:
@@ -65,18 +70,15 @@ def teichmueller_int(c: int, p: int, M: int) -> int:
     return x
 
 
-def window_points(delta: TriangleSpec, p: int, N: int,
-                  slack: int = DEFAULT_SLACK) -> list[Point]:
-    """Matrix window: points with (p-1)*w(P) <= N + slack.
+def window_points(delta: TriangleSpec, p: int, N: int) -> list[Point]:
+    """Matrix window: points with (p-1)*w(P) <= N + WINDOW_SLACK.
 
     Any l-subset reaching beyond the window has h1 >= (p-1)*w > N, so
     dropped rows/columns only affect coefficients at or above T^N.
     """
-    cap = Fraction(N + slack, p - 1)
-    k = math.ceil(cap) + 1
-    pts = enumerate_T(delta, k, closed=True)
-    return [q for q in pts
-            if (p - 1) * delta.weight_num(q) <= (N + slack) * delta.det]
+    cap = N + WINDOW_SLACK
+    pts = enumerate_T(delta, math.ceil(Fraction(cap, p - 1)) + 1, closed=True)
+    return [q for q in pts if (p - 1) * delta.weight_num(q) <= cap * delta.det]
 
 
 def validate_support(delta: TriangleSpec, f_hat: dict[Point, int], p: int):
@@ -235,15 +237,6 @@ def poly_trace(a: np.ndarray, modulus: int) -> np.ndarray:
     return np.einsum('iit->t', a) % modulus
 
 
-def dwork_operator(delta: TriangleSpec, f_hat_residues: dict[Point, int],
-                   p: int, m: int, N: int, window: list[Point]) -> np.ndarray:
-    """The operator on `window` mod (p^m, T^N) from F_p residues of f."""
-    ring = SeriesRing(p, m, N)
-    f_hat = {q: teichmueller_int(c, p, m) for q, c in f_hat_residues.items()}
-    e_map = expand_Ef(delta, f_hat, ring, w_cap=N)
-    return dwork_matrix(delta, ring, e_map, window, p)
-
-
 def _vp(n: int, p: int) -> int:
     v = 0
     while n % p == 0:
@@ -274,17 +267,15 @@ class CharSeries:
 
 
 def char_series(delta: TriangleSpec, f_hat_residues: dict[Point, int], p: int,
-                M: int, N: int, L: int, n: int = 1,
-                slack: int = DEFAULT_SLACK) -> CharSeries:
+                M: int, N: int, L: int, n: int = 1) -> CharSeries:
     """u_0..u_L through trace power sums and Newton's identities.
 
     Works at precision M + v_p(L!) so the division by l in Newton's
-    identity is exact; u_l is then reduced to p^M.  For n > 1 the
-    operator matrix is the sigma-twisted product of the coefficient
-    Frobenius conjugates.
+    identity is exact; u_l is then reduced to p^M.  The traces are those
+    of psi^n, the sigma-twisted product of A1's Frobenius conjugates.
     """
     m_work = M + _vp(math.factorial(L), p) if L else M
-    traces = _twisted_traces(delta, f_hat_residues, p, m_work, N, L, n, slack)
+    traces = _twisted_traces(delta, f_hat_residues, p, m_work, N, L, n)
     ring = SeriesRing(p, m_work, N)
     # Newton's identities: l*e_l = sum_{i=1}^{l} (-1)^(i-1) e_{l-i} tr_i
     e = [ring.one()]
@@ -309,13 +300,7 @@ def char_series(delta: TriangleSpec, f_hat_residues: dict[Point, int], p: int,
         prec.append(cur_prec)
         if cur_prec < M:
             raise PrecisionExhausted(f"precision fell below M at l={ell}")
-    u = []
-    pm = p ** M
-    for ell in range(L + 1):
-        coeff = e[ell] % pm
-        if ell % 2 == 1:
-            coeff = (-coeff) % pm
-        u.append(coeff.astype(np.int64))
+    u = [((-1) ** ell * e[ell] % p ** M).astype(np.int64) for ell in range(L + 1)]
     return CharSeries(p, M, N, n, u, prec)
 
 
@@ -378,24 +363,19 @@ def _pair_trace(x_rows: np.ndarray, y_cols: np.ndarray, mult: np.ndarray,
 
 
 def _operator(delta, f_hat_residues, p, m_work, N, n, window):
-    """(A, mult): the operator over F_{p^n} and the multiplication table.
+    """(A1, mult, frob): A1 on `window` over F_{p^n}, mod (p^m_work, T^N).
 
-    For n = 1, A is the (w, w, N) int operator and mult is 1.  For n > 1,
-    residues are ints or length-n tuples in UnramifiedRing's basis, A =
-    sigma^(n-1)(A1) ... sigma(A1) A1 is held as (w, n, w, N) Z_q
-    coordinates, and mult[a] multiplies by t^a: its column j holds the
-    coordinates of t^(a+j) reduced by the modulus.
+    Residues are ints or length-n tuples in UnramifiedRing's basis.  A1
+    is held as (w, n, w, N) Z_q coordinates; mult[a] multiplies by t^a
+    (its column j holds the coordinates of t^(a+j) reduced by the
+    modulus), and column j of frob is sigma(t^j).  For n = 1 both are
+    1 x 1 identities.
     """
-    if n == 1:
-        mat = dwork_operator(delta, f_hat_residues, p, m_work, N, window)
-        return mat, np.ones((1, 1, 1), dtype=np.int64)
-    m = p ** m_work
-    Rq = UnramifiedRing(p, m_work, n)
     ring = SeriesRing(p, m_work, N)
+    Rq = UnramifiedRing(p, m_work, n)
     basis = np.eye(n, dtype=np.int64).tolist()
     mult = np.array([[Rq.mul(a, b) for b in basis]
                      for a in basis]).transpose(0, 2, 1)
-    # column j of frob is sigma(t^j)
     frob = np.array([Rq.frobenius(tuple(b)) for b in basis]).T
     f_hat = {}
     for q, c in f_hat_residues.items():
@@ -403,11 +383,7 @@ def _operator(delta, f_hat_residues, p, m_work, N, n, window):
         f_hat[q] = np.array(Rq.teichmueller(elt), dtype=np.int64)
     e_map = _expand_Ef_zq(delta, f_hat, mult, ring, w_cap=N)
     mat = dwork_matrix(delta, ring, e_map, window, p).transpose(0, 2, 1, 3)
-    conj = mat
-    for _ in range(1, n):
-        conj = np.einsum('ca,iajt->icjt', frob, conj) % m
-        mat = _zq_mat_mul(conj, mat, mult, m)
-    return mat, mult
+    return mat, mult, frob
 
 
 def _on_closed_walk_support(A: np.ndarray) -> np.ndarray:
@@ -422,30 +398,34 @@ def _on_closed_walk_support(A: np.ndarray) -> np.ndarray:
         keep = live
 
 
-def _twisted_traces(delta, f_hat_residues, p, m_work, N, L, n, slack):
-    """tr(A^k) mod (p^m_work, T^N), k = 1..L, for the operator A over F_{p^n}.
+def _twisted_traces(delta, f_hat_residues, p, m_work, N, L, n):
+    """tr(A^k) mod (p^m_work, T^N), k = 1..L, for A = psi^n over F_{p^n}.
 
     A trace is coordinate 0 of the Z_q trace; the others must vanish.
-    A runs on its closed-walk support: tr(A^k) sums products along closed
-    walks, and an index with a zero row or column lies on none, so
-    dropping it is exact.  Only the powers A^i, i <= ceil(L/2), are
-    formed, each as A times the last, and two are alive at a time, with
-    float64 layouts built once each: tr(A^(2i-1)) = tr(A^i A^(i-1)) and
-    tr(A^(2i)) = tr(A^i A^i).
+    tr(A^k) sums products along closed walks of A1, and an index with a
+    zero row or column lies on none, so A1 runs on its closed-walk
+    support.  Only the powers A^i, i <= ceil(L/2), are formed, each as A
+    times the last by A's regular representation, and two are alive at
+    a time, with float64 layouts built once each: tr(A^(2i-1)) =
+    tr(A^i A^(i-1)) and tr(A^(2i)) = tr(A^i A^i).
     """
-    window = window_points(delta, p, N, slack)
     m = p ** m_work
-    mat, mult = _operator(delta, f_hat_residues, p, m_work, N, n, window)
-    A = _on_closed_walk_support(mat.reshape(len(window), n, len(window), N))
+    # conj runs through A1, sigma(A1), ...; the window-sized A1 is dropped
+    conj, mult, frob = _operator(delta, f_hat_residues, p, m_work, N, n,
+                                 window_points(delta, p, N))
+    A = conj = _on_closed_walk_support(conj)
     w = len(A)
-    mat = A.reshape(w, w, N) if n == 1 else A
+    for _ in range(1, n):
+        conj = np.einsum('ca,iajt->icjt', frob, conj) % m
+        A = _zq_mat_mul(conj, A, mult, m)
+    reg = np.einsum('iakt,acd->ickdt', A, mult).reshape(w * n, w * n, N)
+    np.remainder(reg, m, out=reg)
 
     traces = []
-    prev_cols, power = None, mat
+    prev_cols, power = None, A.reshape(w * n, w, N)
     for i in range(1, (L + 1) // 2 + 1):
         if i > 1:
-            power = (poly_matmul(mat, power, m) if n == 1
-                     else _zq_mat_mul(mat, power, mult, m))
+            power = poly_matmul(reg, power, m)
         coords = power.reshape(w, n, w, N)
         rows = coords.transpose(0, 2, 1, 3).astype(np.float64)
         cols = coords.transpose(2, 0, 1, 3).astype(np.float64)
@@ -536,12 +516,10 @@ def det_T1(delta: TriangleSpec, f_hat_residues: dict[Point, int], p: int,
     if N <= h1:
         raise PrecisionExhausted(f"need N > h(T1) = {h1}")
     ring = SeriesRing(p, M, N)
-    mat = dwork_operator(delta, f_hat_residues, p, M, N, t1)
-    q = berkowitz_char_coeffs(mat, ring)
-    n = len(t1)
+    A1 = _operator(delta, f_hat_residues, p, M, N, 1, t1)[0]
+    q = berkowitz_char_coeffs(A1[:, 0], ring)
     # det(A) = (-1)^n * coeff of s^n in det(I - sA)
-    det = q[n] if n % 2 == 0 else (-q[n]) % ring.modulus
-    return det
+    return (-1) ** len(t1) * q[len(t1)] % ring.modulus
 
 
 # -- exponential-sum oracle -------------------------------------------
@@ -608,16 +586,7 @@ def exp_sum_oracle(delta: TriangleSpec, f_hat_residues: dict[Point, int],
     for c, cnt in counts.items():
         s_star = (s_star + cnt * binomial_row(c, N, p, M)) % pm
 
-    tr = _twisted_traces(delta, f_hat_residues, p, M, N, k, n,
-                         DEFAULT_SLACK)[k - 1]
+    tr = _twisted_traces(delta, f_hat_residues, p, M, N, k, n)[k - 1]
     rhs = (q_k - 1) ** 2 % pm * tr % pm
     return s_star, rhs
 
-
-def truncation_stable(delta: TriangleSpec, f_hat_residues: dict[Point, int],
-                      p: int, M: int, N: int, L: int) -> bool:
-    """Recomputing u_l with a widened window must not change them."""
-    a = char_series(delta, f_hat_residues, p, M, N, L, slack=DEFAULT_SLACK)
-    b = char_series(delta, f_hat_residues, p, M, N, L,
-                    slack=DEFAULT_SLACK + p - 1)
-    return all((x == y).all() for x, y in zip(a.u, b.u))

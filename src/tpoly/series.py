@@ -187,8 +187,10 @@ def artin_hasse(ring: SeriesRing) -> np.ndarray:
     return ring.from_coeffs(coeffs)
 
 
+@lru_cache(maxsize=None)
 def pi_of_T(ring: SeriesRing) -> np.ndarray:
-    """The reversion pi(T) = T + O(T^2) with E(pi(T)) = 1 + T.
+    """The reversion pi(T) = T + O(T^2) with E(pi(T)) = 1 + T, read-only
+    and cached per ring.
 
     Newton iteration pi <- pi - (E(pi)-1-T) / E'(pi); the T-adic error
     valuation doubles each pass.
@@ -209,6 +211,7 @@ def pi_of_T(ring: SeriesRing) -> np.ndarray:
         corr = ring.mul(err, ring.inverse(ring.compose(dE, pi)))
         pi = ring.sub(pi, corr)
     assert not ring.sub(ring.compose(E, pi), target).any()
+    pi.setflags(write=False)
     return pi
 
 

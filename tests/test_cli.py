@@ -238,6 +238,20 @@ def test_verify_budget_refusal(tmp_path, monkeypatch):
     assert rep["failures"] == 0
 
 
+def test_verify_odd_assembly_fails_before_the_class_dp(tmp_path, monkeypatch):
+    # the assembled beta at (21,107) is odd; the class DP there passes its
+    # budget, which must not turn the failure into out-of-budget
+    def out_of_budget(*_args, **_kwargs):
+        raise combos.EnumerationBudgetExceeded("more than 400000 DP transitions")
+    monkeypatch.setattr(beta_mod, "related_class_characterization", out_of_budget)
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--d", "21", "--p", "107", "--json", str(out)]) == 1
+    rep = json.loads(out.read_text())
+    [check] = [c for c in rep["checks"] if c["name"] == "beta_pipeline"]
+    assert check["status"] == "fail" and check["computed"]["sign"] == -1
+    assert rep["failures"] == 1
+
+
 def run_process(argv, python=("-m", "tpoly.cli")):
     """The CLI in a fresh interpreter, as a user runs it."""
     src = str(Path(cli.__file__).resolve().parents[1])

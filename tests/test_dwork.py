@@ -101,8 +101,24 @@ def test_newton_polygon_flags():
     assert all(a <= b for a, b in zip(slopes, slopes[1:]))
 
 
-def test_truncation_stability():
-    assert dwork.truncation_stable(D3, F3, 7, 2, 14, 6)
+def _wider_window_u(monkeypatch, *args, **kwargs):
+    """u_l with window_points widened by one unit of weight, (p-1)*w(P) <=
+    N + p - 1 + WINDOW_SLACK: the points it adds must change nothing."""
+    window_points = dwork.window_points
+
+    def wide(delta, p, N):
+        pts = window_points(delta, p, N + p - 1)
+        assert len(pts) > len(window_points(delta, p, N))
+        return pts
+    with monkeypatch.context() as mp:
+        mp.setattr(dwork, "window_points", wide)
+        return dwork.char_series(*args, **kwargs).u
+
+
+def test_truncation_stability(monkeypatch):
+    u = dwork.char_series(D3, F3, 7, 2, 14, 6).u
+    assert all((x == y).all() for x, y in zip(u, _wider_window_u(
+        monkeypatch, D3, F3, 7, 2, 14, 6)))
 
 
 def test_det_T1_matches_u_x1_leading():
@@ -116,6 +132,18 @@ def test_det_T1_matches_u_x1_leading():
 def test_det_T1_precision_guard():
     with pytest.raises(dwork.PrecisionExhausted):
         dwork.det_T1(D3, F3, 7, 2, 5)
+
+
+def test_det_T1_reads_the_whole_block():
+    # vertex monomials only at p = 5: (1, 1) has a zero row and column in
+    # the T1 block, so the determinant is 0; dropping that index, as the
+    # trace path does, would leave the other five points' nonzero one
+    t1 = lattice.enumerate_T(D3, 1)
+    N = hodge.minimal_h(D3, 5, t1) + 2
+    f = {(3, 0): 1, (0, 3): 2}
+    A1 = dwork._operator(D3, f, 5, 2, N, 1, t1)[0]
+    assert len(dwork._on_closed_walk_support(A1)) == len(t1) - 1
+    assert not dwork.det_T1(D3, f, 5, 2, N).any()
 
 
 def test_det_T1_d2_forced_structure():
@@ -178,10 +206,12 @@ def test_twisted_n2_char_series():
         assert cs.valuation(ell) >= 2 * ih.hull.value_at(ell)
 
 
-def test_window_stability_of_valuations():
-    a = dwork.char_series(D3, F3, 7, 2, 12, 6, slack=2)
-    b = dwork.char_series(D3, F3, 7, 2, 12, 6, slack=8)
-    assert all((x == y).all() for x, y in zip(a.u, b.u))
+def test_window_stability_of_valuations(monkeypatch):
+    for args, kwargs in [((D3, F3, 7, 2, 12, 6), {}),
+                         ((D2, F49, 7, 2, 14, 3), {"n": 2})]:
+        u = dwork.char_series(*args, **kwargs).u
+        assert all((x == y).all() for x, y in zip(u, _wider_window_u(
+            monkeypatch, *args, **kwargs)))
 
 
 def test_binomial_row():
@@ -225,8 +255,8 @@ def test_poly_matmul_matches_int_convolution():
 def berkowitz_d3():
     p, M, N = 7, 2, 12
     window = dwork.window_points(D3, p, N)
-    mat = dwork.dwork_operator(D3, F3, p, M, N, window)
-    return dwork.berkowitz_char_coeffs(mat, SeriesRing(p, M, N))
+    A1 = dwork._operator(D3, F3, p, M, N, 1, window)[0]
+    return dwork.berkowitz_char_coeffs(A1[:, 0], SeriesRing(p, M, N))
 
 
 @pytest.mark.parametrize("L", [0, 1, 2, 3, 8])
@@ -375,22 +405,26 @@ def test_closed_walk_support_drops_until_stable():
     assert np.array_equal(dwork._on_closed_walk_support(A), want)
 
 
-def _ref_twisted_traces(delta, f_hat_residues, p, m_work, N, L, n, slack):
-    """tr(A^k) from every power A^k = A^(k-1) A in turn, read off the diagonal."""
-    window = dwork.window_points(delta, p, N, slack)
-    w = len(window)
+def _ref_twisted_traces(delta, f_hat_residues, p, m_work, N, L, n):
+    """tr(A^k) on the whole window, A = sigma^(n-1)(A1) ... sigma(A1) A1,
+    from every power A^k = A^(k-1) A in turn, read off the diagonal."""
+    window = dwork.window_points(delta, p, N)
     m = p ** m_work
-    mat, mult = dwork._operator(delta, f_hat_residues, p, m_work, N, n, window)
+    A1, mult, frob = dwork._operator(delta, f_hat_residues, p, m_work, N, n,
+                                     window)
+    A = conj = A1
+    for _ in range(1, n):
+        # sigma acts on each entry's coordinates
+        conj = np.einsum('ca,iajt->icjt', frob, conj) % m
+        A = dwork._zq_mat_mul(conj, A, mult, m)
     traces = []
-    power = mat
+    power = A
     for k in range(1, L + 1):
-        coords = power.reshape(w, n, w, N)
-        tr = [dwork.poly_trace(coords[:, c], m) for c in range(n)]
+        tr = [dwork.poly_trace(power[:, c], m) for c in range(n)]
         assert not any(t.any() for t in tr[1:])
         traces.append(tr[0])
         if k < L:
-            power = (dwork.poly_matmul(power, mat, m) if n == 1
-                     else dwork._zq_mat_mul(power, mat, mult, m))
+            power = dwork._zq_mat_mul(power, A, mult, m)
     return traces
 
 
@@ -407,11 +441,10 @@ def _same_u(fast, slow):
 
 
 def _support_size(delta, f, p, m_work, N, n=1):
-    """(window points, closed-walk support) of char_series' operator."""
+    """(window points, closed-walk support) of char_series' A1."""
     window = dwork.window_points(delta, p, N)
-    mat, _ = dwork._operator(delta, f, p, m_work, N, n, window)
-    w = len(window)
-    return w, len(dwork._on_closed_walk_support(mat.reshape(w, n, w, N)))
+    A1 = dwork._operator(delta, f, p, m_work, N, n, window)[0]
+    return len(window), len(dwork._on_closed_walk_support(A1))
 
 
 def test_np_window_char_series_matches_power_loop(monkeypatch):
@@ -428,8 +461,11 @@ def test_np_window_char_series_matches_power_loop(monkeypatch):
 
 def test_twisted_n2_char_series_matches_power_loop(monkeypatch):
     # at N = 20 the products of coordinate-1 parts reach the traces
-    # (from T^16 on), so the coordinate contraction is exercised
-    assert _support_size(D2, F49, 7, 2, 20, n=2) == (36, 21)
+    # (from T^16 on), so the coordinate contraction is exercised; the
+    # twisted product is formed on A1's support, and (N=14) the
+    # twisted-zq benchmark's window
+    assert _support_size(D2, F49, 7, 2, 20, n=2) == (36, 28)
+    assert _support_size(D2, F49, 7, 2, 14, n=2) == (21, 15)
     args = (D2, F49)
     kwargs = dict(p=7, M=2, N=20, L=5, n=2)
     _same_u(dwork.char_series(*args, **kwargs),

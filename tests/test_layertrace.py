@@ -1,14 +1,17 @@
-"""The benchmark's per-layer tracer must find every name it wraps."""
+"""The benchmark must find every tpoly name it wraps, reads or calls."""
 
+import ast
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import tpoly.cli  # noqa: F401 - the tracer wraps every imported tpoly module
-from tpoly import dwork
+from tpoly import dwork, lattice, series
 from tpoly.lattice import isosceles
 
-LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+LAYERTRACE = PERFBENCH / "layertrace.py"
 
 
 def _load_layertrace():
@@ -48,3 +51,31 @@ def test_tracer_install_and_remove():
     after = _snapshot(lt)
     assert after.keys() == before.keys()
     assert all(after[key] is val for key, val in before.items())
+
+
+def test_benchmark_reads_only_existing_names():
+    """Every dwork., series. and lattice. attribute the workloads and the
+    runner read exists, and every call to one binds to its signature;
+    parsed only, no task runs."""
+    modules = {"dwork": dwork, "series": series, "lattice": lattice}
+    seen = set()
+    for path in (PERFBENCH / "workloads.py", PERFBENCH / "run.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                call, node = node, node.func
+            else:
+                call = None
+            if not (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                continue
+            where = f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+            assert hasattr(modules[node.value.id], node.attr), where
+            seen.add(f"{node.value.id}.{node.attr}")
+            if call is not None:
+                assert not any(isinstance(a, ast.Starred) for a in call.args)
+                fn = getattr(modules[node.value.id], node.attr)
+                inspect.signature(fn).bind(
+                    *call.args, **{k.arg: k.value for k in call.keywords})
+    assert {"dwork.char_series", "dwork.window_points", "dwork.expand_Ef",
+            "series.artin_hasse", "lattice.split_T1"} <= seen

@@ -37,6 +37,13 @@ def test_pi_of_T_reversion():
     assert not ring.sub(comp, target).any()
 
 
+def test_pi_of_T_is_cached_read_only():
+    pi = series.pi_of_T(series.SeriesRing(7, 5, 20))
+    assert series.pi_of_T(series.SeriesRing(7, 5, 20)) is pi
+    with pytest.raises(ValueError, match="read-only"):
+        pi[1] = 2
+
+
 @pytest.mark.parametrize("p", [2, 3, 7, 17])
 def test_pi_linear_coefficient_mod_p(p):
     ring = series.SeriesRing(p, 2, 10)
